@@ -8,6 +8,7 @@ import (
 func BenchmarkBuildAdderBDD(b *testing.B) {
 	// 16-bit adder output bit 15 with interleaved variable order (the
 	// good order: linear-size BDD).
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := NewManager(32, 0)
 		// a_j at var 2j, b_j at var 2j+1.
@@ -34,6 +35,7 @@ func BenchmarkISOPRandomFunction(b *testing.B) {
 	for i := range vars {
 		vars[i] = i
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := NewManager(12, 0)
@@ -55,6 +57,7 @@ func BenchmarkFromTruthTable18(b *testing.B) {
 	for i := range vars {
 		vars[i] = i
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := NewManager(18, 0)

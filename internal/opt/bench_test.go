@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"logicregression/internal/aig"
+	"logicregression/internal/cases"
 )
 
 func BenchmarkOptimizePipeline(b *testing.B) {
@@ -34,5 +35,24 @@ func BenchmarkRewrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Rewrite(g)
+	}
+}
+
+// BenchmarkCollapseCase collapses built-in case circuits at the default
+// budget: case_2 and case_12 trip the node budget on several outputs,
+// case_14 builds large BDDs with heavy ITE reuse.
+func BenchmarkCollapseCase(b *testing.B) {
+	for _, name := range []string{"case_2", "case_12", "case_14"} {
+		cs, err := cases.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := aig.FromCircuit(cs.Circuit)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Collapse(g, Config{})
+			}
+		})
 	}
 }

@@ -384,8 +384,13 @@ func Collapse(g *aig.AIG, cfg Config) (*circuit.Circuit, bool) {
 	}
 	any := false
 	orig := g.ToCircuit()
+	// One manager serves every output; Reset empties it between outputs
+	// (nodes are not shared across outputs, so each output's node count,
+	// and with it its budget verdict, is independent of the others).
+	m := bdd.NewManager(g.NumPIs(), cfg.BDDBudget)
 	for po := 0; po < g.NumPOs(); po++ {
-		m, root, err := bdd.FromAIGOutput(g, po, cfg.BDDBudget)
+		m.Reset()
+		root, err := m.AIGOutput(g, po)
 		if err != nil {
 			// Keep the original cone: re-synthesize just this output from
 			// the original circuit through a fresh sub-AIG.
