@@ -49,10 +49,28 @@ func checkDegraded(t *testing.T, res *Result, wantPOs int) {
 	}
 }
 
+// deathPoint runs a learn against a fault-free box and returns a FailAfter
+// budget a quarter of the way through its calls (FailAfter counts calls,
+// one per Eval or batch frame, not patterns): the box then dies after the
+// learn's first calls, well before it ends, whatever its batch shape.
+func deathPoint(t *testing.T, g *circuit.Circuit, opts Options) int64 {
+	t.Helper()
+	probe := chaos.Wrap(oracle.FromCircuit(g), chaos.Config{})
+	if full := Learn(probe, opts); full.Degraded {
+		t.Fatalf("fault-free learn degraded: %s", full.DegradedReason)
+	}
+	budget := probe.Calls() / 4
+	if budget < 1 || budget >= probe.Calls() {
+		t.Fatalf("fault-free learn made %d calls: no death point inside it", probe.Calls())
+	}
+	return budget
+}
+
 func TestLearnDegradesOnPermanentDeath(t *testing.T) {
 	g := twoOutputGolden()
-	o := chaos.Wrap(oracle.FromCircuit(g), chaos.Config{FailAfter: 10})
-	res := Learn(o, Options{Seed: 1, SupportR: 64})
+	opts := Options{Seed: 1, SupportR: 64}
+	o := chaos.Wrap(oracle.FromCircuit(g), chaos.Config{FailAfter: deathPoint(t, g, opts)})
+	res := Learn(o, opts)
 	checkDegraded(t, res, 2)
 	degraded := 0
 	for _, or := range res.Outputs {
@@ -61,14 +79,15 @@ func TestLearnDegradesOnPermanentDeath(t *testing.T) {
 		}
 	}
 	if degraded == 0 {
-		t.Fatal("no output marked MethodDegraded after a death 10 queries in")
+		t.Fatal("no output marked MethodDegraded after a death a quarter of the way in")
 	}
 }
 
 func TestLearnDegradesOnPermanentDeathParallel(t *testing.T) {
 	g := twoOutputGolden()
-	o := chaos.Wrap(oracle.FromCircuit(g), chaos.Config{FailAfter: 10})
-	res := Learn(o, Options{Seed: 1, SupportR: 64, Parallel: 2})
+	opts := Options{Seed: 1, SupportR: 64, Parallel: 2}
+	o := chaos.Wrap(oracle.FromCircuit(g), chaos.Config{FailAfter: deathPoint(t, g, opts)})
+	res := Learn(o, opts)
 	checkDegraded(t, res, 2)
 }
 

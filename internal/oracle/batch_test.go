@@ -8,10 +8,12 @@ package oracle_test
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"logicregression/internal/bitvec"
 	"logicregression/internal/cases"
+	"logicregression/internal/circuit"
 	"logicregression/internal/oracle"
 )
 
@@ -161,4 +163,92 @@ func TestProjectBatchLane(t *testing.T) {
 		got := p.EvalBatch(lanes, n)
 		assertLanesEqual(t, "project", got, full[out*w:(out+1)*w], 1, n)
 	}
+}
+
+// TestCircuitOracleFollowsCircuitGrowth queries a CircuitOracle, then grows
+// its circuit (new gates and POs, a rebound PO driver, enough gates that the
+// pooled simulation scratch is too small) and checks that every later batch
+// still answers for the circuit as it is now.
+func TestCircuitOracleFollowsCircuitGrowth(t *testing.T) {
+	c := circuit.New()
+	var pis []circuit.Signal
+	for i := 0; i < 8; i++ {
+		pis = append(pis, c.AddPI(string(rune('a'+i))))
+	}
+	c.AddPO("x", c.Xor(pis[0], pis[1]))
+	o := oracle.FromCircuit(c)
+	rng := rand.New(rand.NewSource(13))
+	stages := []struct {
+		name string
+		grow func()
+	}{
+		{"initial", func() {}},
+		{"new PO", func() { c.AddPO("y", c.Nand(c.Or(pis[2], pis[3]), c.NotGate(pis[4]))) }},
+		{"rebound PO", func() { c.SetPODriver(0, c.Xnor(pis[5], c.And(pis[6], pis[7]))) }},
+		{"wide growth", func() {
+			s := pis[0]
+			for k := 0; k < 3000; k++ {
+				s = c.Xor(s, c.And(pis[k%8], pis[(k*5+3)%8]))
+			}
+			c.AddPO("z", s)
+		}},
+	}
+	for _, st := range stages {
+		st.grow()
+		if o.NumOutputs() != c.NumPO() {
+			t.Fatalf("%s: oracle reports %d outputs, circuit has %d", st.name, o.NumOutputs(), c.NumPO())
+		}
+		for _, n := range []int{1, 130, 64 * 300} {
+			lanes := randomLanes(rng, o.NumInputs(), n)
+			want := scalarReference(o, lanes, n)
+			assertLanesEqual(t, st.name, o.EvalBatch(lanes, n), want, o.NumOutputs(), n)
+		}
+	}
+}
+
+// TestCircuitOracleConcurrentBatchWidths drives one CircuitOracle from
+// several goroutines at once with batches of different widths, so pooled
+// scratch buffers are shared, outgrown and replaced while others use them.
+func TestCircuitOracleConcurrentBatchWidths(t *testing.T) {
+	cs, err := cases.ByName("case_5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := oracle.FromCircuit(cs.Circuit)
+	type job struct {
+		lanes, want []bitvec.Word
+		n           int
+	}
+	// The reference answers block by block through EvalWords (the lifted
+	// word path), which shares no scratch with EvalBatch.
+	words := oracle.AsBatch(struct{ oracle.WordOracle }{o})
+	rng := rand.New(rand.NewSource(21))
+	var jobs []job
+	for _, n := range []int{1, 70, 640, 6400, 64 * 300} {
+		lanes := randomLanes(rng, o.NumInputs(), n)
+		jobs = append(jobs, job{lanes, words.EvalBatch(lanes, n), n})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 10; r++ {
+				j := jobs[(g+r)%len(jobs)]
+				got := o.EvalBatch(j.lanes, j.n)
+				w := oracle.Words(j.n)
+				for k := range j.want {
+					mask := ^bitvec.Word(0)
+					if k%w == w-1 && j.n%64 != 0 {
+						mask = 1<<(j.n%64) - 1 // tail bits are don't-cares
+					}
+					if got[k]&mask != j.want[k]&mask {
+						t.Errorf("goroutine %d: %d-pattern batch differs at word %d", g, j.n, k)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

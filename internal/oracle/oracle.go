@@ -20,6 +20,7 @@ package oracle
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"logicregression/internal/bitvec"
 	"logicregression/internal/circuit"
@@ -51,11 +52,22 @@ type WordOracle interface {
 // CircuitOracle wraps a circuit as a black box.
 type CircuitOracle struct {
 	c *circuit.Circuit
+	// scratch pools EvalBatch's simulation value scratch (*[]uint64), so
+	// concurrent callers each get their own and none allocates per call.
+	// New sizes a buffer to scratchLen, the largest scratch any EvalBatch
+	// has asked for.
+	scratch    sync.Pool
+	scratchLen atomic.Int64
 }
 
 // FromCircuit returns an oracle backed by the given circuit.
 func FromCircuit(c *circuit.Circuit) *CircuitOracle {
-	return &CircuitOracle{c: c}
+	o := &CircuitOracle{c: c}
+	o.scratch.New = func() any {
+		s := make([]uint64, o.scratchLen.Load())
+		return &s
+	}
+	return o
 }
 
 func (o *CircuitOracle) NumInputs() int        { return o.c.NumPI() }
@@ -67,26 +79,27 @@ func (o *CircuitOracle) EvalWords(in []uint64) []uint64 {
 	return o.c.EvalWords(in)
 }
 
-// EvalBatch rides the circuit's 64-way word-parallel evaluator, reusing the
-// simulation scratch across blocks (the per-block allocation is what makes
-// EvalWords-in-a-loop slower than a true batch on small circuits).
+// EvalBatch evaluates the caller's lanes directly with the circuit's
+// simulation kernel (circuit.EvalLanes). A pooled scratch buffer too small
+// for this batch (a wider batch, or a circuit that grew since the buffer was
+// made) is dropped, and the pool makes one of the new size.
+//
+//logicreg:hotpath
 func (o *CircuitOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
-	nIn, nOut := o.c.NumPI(), o.c.NumPO()
 	w := Words(n)
-	checkBatch(len(patterns), nIn, n)
-	out := make([]bitvec.Word, nOut*w)
-	ev := o.c.NewEvaluator()
-	in := make([]uint64, nIn)
-	po := make([]uint64, nOut)
-	for b := 0; b < w; b++ {
-		for i := 0; i < nIn; i++ {
-			in[i] = patterns[i*w+b]
-		}
-		ev.EvalWordsInto(in, po)
-		for j := 0; j < nOut; j++ {
-			out[j*w+b] = po[j]
-		}
+	checkBatch(len(patterns), o.c.NumPI(), n)
+	need := int64(o.c.LaneScratch(w))
+	for cur := o.scratchLen.Load(); cur < need && !o.scratchLen.CompareAndSwap(cur, need); {
+		cur = o.scratchLen.Load()
 	}
+	sp := o.scratch.Get()
+	for int64(len(*sp.(*[]uint64))) < need {
+		sp = o.scratch.Get()
+	}
+	//logicreg:allow hotalloc the result lanes are returned to the caller
+	out := make([]bitvec.Word, o.c.NumPO()*w)
+	o.c.EvalLanes(patterns, w, out, *sp.(*[]uint64))
+	o.scratch.Put(sp)
 	return out
 }
 

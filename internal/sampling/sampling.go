@@ -119,56 +119,92 @@ func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng *r
 		return res
 	}
 
+	// Draw each free input's R patterns exactly as the per-input loop of
+	// Algorithm 1 does (block-major, all inputs within a block, one bias
+	// ratio per block, tail bits drawn and dropped), and pack the whole
+	// sweep densely into one batch: segment 2*idx holds alpha_i (input
+	// i = Free[idx] forced to 1), segment 2*idx+1 holds alpha_not_i (forced
+	// to 0), R patterns each. One EvalBatch answers the sweep and charges
+	// the same 2*R*|Free| queries as two batches per input would.
+	r := cfg.R
 	ratios := cfg.ratios()
-	words := (cfg.R + 63) / 64
-	ones := 0
+	words := (r + 63) / 64
+	tail := maskLow(r - 64*(words-1))
+	total := 2 * r * len(res.Free)
+	lw := oracle.Words(total)
+	lanes := make([]uint64, n*lw)
+	draw := make([]uint64, n*words)
+	forced := make([]uint64, words) // R ones: the probed input in alpha_i
+	for w := range forced {
+		forced[w] = ^uint64(0)
+	}
+	forced[words-1] = tail
 	ratioIdx := 0
-	b := oracle.AsBatch(o)
-	lanes := make([]uint64, n*words)
-	for _, i := range res.Free {
-		// Draw all R patterns for this input up front, in exactly the order
-		// the per-block reference would (block-major, inputs within a
-		// block, one bias ratio per block), then issue the oracle queries
-		// as two whole batches: alpha_i (input i forced to 1) and
-		// alpha_not_i (forced to 0).
+	for idx, i := range res.Free {
 		for w := 0; w < words; w++ {
 			p := ratios[ratioIdx%len(ratios)]
 			ratioIdx++
 			for j := 0; j < n; j++ {
-				lanes[j*words+w] = BiasedWord(rng, p)
+				draw[j*words+w] = BiasedWord(rng, p)
 			}
 			for _, l := range cube {
 				if l.Neg {
-					lanes[l.Var*words+w] = 0
+					draw[l.Var*words+w] = 0
 				} else {
-					lanes[l.Var*words+w] = ^uint64(0)
+					draw[l.Var*words+w] = ^uint64(0)
 				}
 			}
 		}
-		lane := lanes[i*words : (i+1)*words]
-		for w := range lane {
-			lane[w] = ^uint64(0) // alpha_i: input forced to 1
+		at1, at0 := 2*idx*r, (2*idx+1)*r
+		for j := 0; j < n; j++ {
+			lane := lanes[j*lw : (j+1)*lw]
+			if j == i {
+				orBits(lane, at1, forced) // alpha_not_i keeps its zeros
+				continue
+			}
+			src := draw[j*words : (j+1)*words]
+			src[words-1] &= tail
+			orBits(lane, at1, src)
+			orBits(lane, at0, src)
 		}
-		out1 := b.EvalBatch(lanes, cfg.R)[out*words : (out+1)*words]
-		for w := range lane {
-			lane[w] = 0 // alpha_not_i: input forced to 0
-		}
-		out0 := b.EvalBatch(lanes, cfg.R)[out*words : (out+1)*words]
+	}
 
-		remaining := cfg.R
-		for w := 0; w < words; w++ {
-			batch := min(remaining, 64)
-			remaining -= batch
-			mask := maskLow(batch)
-			res.D[i] += popcount((out1[w] ^ out0[w]) & mask)
-			ones += popcount(out1[w]&mask) + popcount(out0[w]&mask)
-			res.Samples += 2 * batch
+	got := oracle.AsBatch(o).EvalBatch(lanes, total)[out*lw : (out+1)*lw]
+	ones := 0
+	for idx, i := range res.Free {
+		at1, at0 := 2*idx*r, (2*idx+1)*r
+		for k := 0; k < r; k += 64 {
+			cnt := min(r-k, 64)
+			out1, out0 := readBits(got, at1+k, cnt), readBits(got, at0+k, cnt)
+			res.D[i] += popcount(out1 ^ out0)
+			ones += popcount(out1) + popcount(out0)
 		}
 	}
-	if res.Samples > 0 {
-		res.TruthRatio = float64(ones) / float64(res.Samples)
-	}
+	res.Samples = total
+	res.TruthRatio = float64(ones) / float64(total)
 	return res
+}
+
+// orBits ORs the bits of src into dst from bit offset at on. Every set bit
+// of src must land inside dst.
+func orBits(dst []uint64, at int, src []uint64) {
+	base, sh := at>>6, uint(at&63)
+	for k, s := range src {
+		dst[base+k] |= s << sh
+		if sh != 0 && base+k+1 < len(dst) {
+			dst[base+k+1] |= s >> (64 - sh)
+		}
+	}
+}
+
+// readBits returns the cnt <= 64 bits of src from bit offset at on.
+func readBits(src []uint64, at, cnt int) uint64 {
+	base, sh := at>>6, uint(at&63)
+	v := src[base] >> sh
+	if sh != 0 && base+1 < len(src) {
+		v |= src[base+1] << (64 - sh)
+	}
+	return v & maskLow(cnt)
 }
 
 func maskLow(n int) uint64 {
