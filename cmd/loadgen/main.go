@@ -260,7 +260,7 @@ func main() {
 					in[b] = rng.Intn(2) == 1
 				}
 				t0 := time.Now()
-				cl.Eval(in)
+				oracle.Eval(cl, in)
 				hQuery.Observe(time.Since(t0))
 				queries.Add(1)
 			}

@@ -14,7 +14,7 @@ import (
 
 func main() {
 	// The "unknown system": a 6-input voter with an enable — visible to
-	// the learner only through Eval calls and port names.
+	// the learner only through its answers to queries and its port names.
 	inputs := []string{"en", "va", "vb", "vc", "vd", "ve"}
 	hidden := logicregression.NewFuncOracle(inputs, []string{"pass"}, func(in []bool) []bool {
 		votes := 0

@@ -45,12 +45,12 @@ func (*OracleReachable) AFact() {}
 
 const failurePkg = "logicregression/internal/oracle"
 
-// oracleEntryPoints are the method names whose calls mark a function as
+// oracleEntryPoints are the method and helper names (Oracle.EvalBatch,
+// Fallible.TryEvalBatch, oracle.Eval) whose calls mark a function as
 // oracle-reachable: panics thrown below these calls cross the bridge that
 // core.Learn's catchFailure guards.
 var oracleEntryPoints = map[string]bool{
-	"Eval": true, "EvalBatch": true, "EvalWords": true,
-	"TryEval": true, "TryEvalBatch": true,
+	"Eval": true, "EvalBatch": true, "TryEvalBatch": true,
 }
 
 func runPanicBridge(pass *analysis.Pass) error {

@@ -11,8 +11,8 @@ import (
 
 // batchCapable lists the packages (by import-path suffix) whose hot paths
 // must drive the oracle through EvalBatch. Other packages — template
-// matchers probing a handful of assignments, the oracle package's own
-// scalar fallback — may legitimately call Eval per pattern.
+// matchers probing a handful of assignments — may legitimately ask one
+// pattern at a time through oracle.Eval.
 var batchCapable = []string{
 	"internal/sampling",
 	"internal/support",
@@ -21,12 +21,12 @@ var batchCapable = []string{
 	"internal/core",
 }
 
-// ScalarEval flags per-pattern Oracle.Eval calls inside loops in
+// ScalarEval flags per-pattern oracle.Eval calls inside loops in
 // batch-capable packages.
 var ScalarEval = &analysis.Analyzer{
 	Name: "scalareval",
 	Doc: "flags oracle.Eval called inside a loop in a batch-capable package; " +
-		"collect the patterns and use EvalBatch (oracle.AsBatch) instead, so " +
+		"collect the patterns into lanes and call Oracle.EvalBatch once instead, so " +
 		"queries stay countable in blocks and ride the word-parallel evaluator",
 	Run: runScalarEval,
 }

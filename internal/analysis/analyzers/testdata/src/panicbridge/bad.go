@@ -9,7 +9,7 @@ import (
 	"logicregression/internal/oracle"
 )
 
-func eval(o oracle.Oracle) []bool { return o.Eval(nil) }
+func eval(o oracle.Oracle) []bool { return oracle.Eval(o, nil) }
 
 // A plain error panic on an oracle-reachable path: catchFailure would
 // re-panic it, so the "error" crashes the run instead of degrading it.

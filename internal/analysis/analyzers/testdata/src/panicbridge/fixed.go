@@ -3,8 +3,8 @@ package core
 import "logicregression/internal/oracle"
 
 // Transport failures cross the bridge as *oracle.Failure.
-func strictEval(o oracle.Fallible) []bool {
-	out, err := o.TryEval(nil)
+func strictEval(o oracle.Fallible) []uint64 {
+	out, err := o.TryEvalBatch(nil, 1)
 	if err != nil {
 		panic(oracle.NewFailure(err))
 	}
@@ -17,7 +17,7 @@ func invariant(o oracle.Oracle, n int) []bool {
 	if n < 0 {
 		panic("core: negative query count")
 	}
-	return o.Eval(nil)
+	return oracle.Eval(o, nil)
 }
 
 // The sanctioned recover shape: bind, assert *oracle.Failure, re-panic

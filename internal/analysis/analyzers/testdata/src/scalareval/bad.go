@@ -6,7 +6,7 @@ import "logicregression/internal/oracle"
 func BadWitness(o oracle.Oracle, pats [][]bool, out int) int {
 	n := 0
 	for _, a := range pats {
-		if o.Eval(a)[out] { // want "per-pattern oracle Eval call inside a loop"
+		if oracle.Eval(o, a)[out] { // want "per-pattern oracle Eval call inside a loop"
 			n++
 		}
 	}
@@ -17,7 +17,7 @@ func BadWitness(o oracle.Oracle, pats [][]bool, out int) int {
 func BadCounted(counter *oracle.Counter, pats [][]bool) int {
 	n := 0
 	for i := 0; i < len(pats); i++ {
-		v := counter.Eval(pats[i]) // want "per-pattern oracle Eval call inside a loop"
+		v := oracle.Eval(counter, pats[i]) // want "per-pattern oracle Eval call inside a loop"
 		if v[0] {
 			n++
 		}

@@ -7,10 +7,10 @@ import (
 
 // GoodBatch sends all patterns in one lane-packed batch query.
 func GoodBatch(o oracle.Oracle, patterns []bitvec.Word, n int) []bitvec.Word {
-	return oracle.AsBatch(o).EvalBatch(patterns, n)
+	return o.EvalBatch(patterns, n)
 }
 
 // GoodSingle makes one scalar query outside any loop, which is fine.
 func GoodSingle(o oracle.Oracle, a []bool) []bool {
-	return o.Eval(a)
+	return oracle.Eval(o, a)
 }

@@ -131,7 +131,7 @@ func probe(o oracle.Oracle, po int, cube sop.Cube, r int, rng *rand.Rand) (ones,
 	for done := 0; done < r; done += 64 {
 		batch := min(r-done, 64)
 		words := sampling.RandomWords(rng, n, ratios[(done/64)%len(ratios)], cube)
-		got := oracle.EvalWords(o, words)[po]
+		got := o.EvalBatch(words, 64)[po]
 		for k := 0; k < batch; k++ {
 			if got>>uint(k)&1 == 1 {
 				ones++
@@ -177,7 +177,7 @@ func SampleSOP(o oracle.Oracle, opts SOPOptions) *Result {
 	samples := make([]sample, 0, opts.Samples)
 	for k := 0; k < opts.Samples; k++ {
 		a := sampling.RandomAssignment(rng, n, ratios[k%len(ratios)], nil)
-		samples = append(samples, sample{in: a, out: counter.Eval(a)})
+		samples = append(samples, sample{in: a, out: oracle.Eval(counter, a)})
 	}
 
 	c := circuit.New()

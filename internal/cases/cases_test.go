@@ -170,7 +170,7 @@ func TestMiterOutputsNotAllConstant(t *testing.T) {
 				for i := range a {
 					a[i] = rng.Intn(2) == 1
 				}
-				if o.Eval(a)[po] {
+				if oracle.Eval(o, a)[po] {
 					seen1 = true
 				} else {
 					seen0 = true

@@ -33,8 +33,8 @@ type Config struct {
 	// Seed drives the fault schedule. Runs with equal seeds and equal call
 	// sequences inject identical faults.
 	Seed int64
-	// ErrRate is the probability, per query call (one Eval or one batch
-	// frame), of an injected transient error.
+	// ErrRate is the probability, per query call (one batch, which on the
+	// wire is one frame or one line), of an injected transient error.
 	ErrRate float64
 	// FailAfter kills the black box permanently after this many successful
 	// query calls (0 = never): every later call returns ErrDead.
@@ -48,15 +48,15 @@ type Config struct {
 }
 
 // Oracle wraps a black box with injected faults. It implements
-// oracle.FallibleBatch (errors as values) and the plain oracle.Oracle
-// interface (errors as *oracle.Failure panics), so it can stand in for the
-// real black box on either side of the wire.
+// oracle.Fallible (errors as values) and oracle.Oracle (errors as
+// *oracle.Failure panics), so it can stand in for the real black box on
+// either side of the wire.
 //
 // It deliberately does not implement oracle.Forker: all connections of an
 // ioserve.Server share one fault schedule, keeping FailAfter counts global
 // across reconnects.
 type Oracle struct {
-	inner oracle.FallibleBatch
+	inner oracle.Fallible
 
 	mu    sync.Mutex
 	cfg   Config
@@ -110,26 +110,6 @@ func (o *Oracle) flipBit() bool {
 	return o.rng.Float64() < o.cfg.FlipRate
 }
 
-// TryEval queries the wrapped black box through the fault schedule.
-func (o *Oracle) TryEval(assignment []bool) ([]bool, error) {
-	if o.cfg.Latency > 0 {
-		time.Sleep(o.cfg.Latency)
-	}
-	if err := o.roll(); err != nil {
-		return nil, err
-	}
-	out, err := o.inner.TryEval(assignment)
-	if err != nil {
-		return nil, err
-	}
-	for j := range out {
-		if o.flipBit() {
-			out[j] = !out[j]
-		}
-	}
-	return out, nil
-}
-
 // TryEvalBatch queries a whole frame through the fault schedule: one error
 // roll per frame (matching one wire exchange), one flip roll per output bit.
 func (o *Oracle) TryEvalBatch(patterns []bitvec.Word, n int) ([]bitvec.Word, error) {
@@ -156,16 +136,7 @@ func (o *Oracle) TryEvalBatch(patterns []bitvec.Word, n int) ([]bitvec.Word, err
 	return out, nil
 }
 
-// Eval is the panicking form (oracle.Oracle).
-func (o *Oracle) Eval(assignment []bool) []bool {
-	out, err := o.TryEval(assignment)
-	if err != nil {
-		panic(oracle.NewFailure(err))
-	}
-	return out
-}
-
-// EvalBatch is the panicking batch form (oracle.BatchOracle).
+// EvalBatch is the panicking form (oracle.Oracle).
 func (o *Oracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	out, err := o.TryEvalBatch(patterns, n)
 	if err != nil {
@@ -175,7 +146,6 @@ func (o *Oracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 }
 
 var (
-	_ oracle.Oracle        = (*Oracle)(nil)
-	_ oracle.BatchOracle   = (*Oracle)(nil)
-	_ oracle.FallibleBatch = (*Oracle)(nil)
+	_ oracle.Oracle   = (*Oracle)(nil)
+	_ oracle.Fallible = (*Oracle)(nil)
 )

@@ -5,9 +5,29 @@ import (
 	"net"
 	"testing"
 
+	"logicregression/internal/bitvec"
 	"logicregression/internal/circuit"
 	"logicregression/internal/oracle"
 )
+
+// tryEval asks f one assignment, as a one-pattern batch.
+func tryEval(f oracle.Fallible, a []bool) ([]bool, error) {
+	lanes := make([]bitvec.Word, len(a))
+	for i, bit := range a {
+		if bit {
+			lanes[i] = 1
+		}
+	}
+	res, err := f.TryEvalBatch(lanes, 1)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, f.NumOutputs())
+	for j := range out {
+		out[j] = res[j]&1 == 1
+	}
+	return out, nil
+}
 
 func golden() oracle.Oracle {
 	c := circuit.New()
@@ -22,7 +42,7 @@ func golden() oracle.Oracle {
 // were, as a replayable fingerprint of the fault schedule.
 func schedule(o *Oracle, n int) (faults []bool, answers [][]bool) {
 	for i := 0; i < n; i++ {
-		out, err := o.TryEval([]bool{i&1 == 1, i>>1&1 == 1})
+		out, err := tryEval(o, []bool{i&1 == 1, i>>1&1 == 1})
 		faults = append(faults, err != nil)
 		answers = append(answers, out)
 	}
@@ -58,7 +78,7 @@ func TestScheduleIsDeterministic(t *testing.T) {
 // not (retry layers must degrade).
 func TestInjectedErrorsAreTransient(t *testing.T) {
 	o := Wrap(golden(), Config{Seed: 1, ErrRate: 1})
-	_, err := o.TryEval([]bool{false, false})
+	_, err := tryEval(o, []bool{false, false})
 	if err == nil || !oracle.IsTransient(err) {
 		t.Fatalf("injected fault not transient: %v", err)
 	}
@@ -72,12 +92,12 @@ func TestInjectedErrorsAreTransient(t *testing.T) {
 func TestFailAfterIsPermanent(t *testing.T) {
 	o := Wrap(golden(), Config{Seed: 1, FailAfter: 5})
 	for i := 0; i < 5; i++ {
-		if _, err := o.TryEval([]bool{true, false}); err != nil {
+		if _, err := tryEval(o, []bool{true, false}); err != nil {
 			t.Fatalf("call %d before death: %v", i, err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := o.TryEval([]bool{true, false}); !errors.Is(err, ErrDead) {
+		if _, err := tryEval(o, []bool{true, false}); !errors.Is(err, ErrDead) {
 			t.Fatalf("call after death: err = %v, want ErrDead", err)
 		}
 	}
@@ -94,8 +114,8 @@ func TestFlipRateChangesAnswers(t *testing.T) {
 	flipped := false
 	for i := 0; i < 50 && !flipped; i++ {
 		a := []bool{i&1 == 1, i>>1&1 == 1}
-		want := clean.Eval(a)
-		got, err := o.TryEval(a)
+		want := oracle.Eval(clean, a)
+		got, err := tryEval(o, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +135,11 @@ func TestEvalPanicsWithFailure(t *testing.T) {
 	defer func() {
 		rec := recover()
 		if _, ok := rec.(*oracle.Failure); !ok {
-			t.Fatalf("Eval panicked with %T, want *oracle.Failure", rec)
+			t.Fatalf("EvalBatch panicked with %T, want *oracle.Failure", rec)
 		}
 	}()
-	o.Eval([]bool{false, false})
-	t.Fatal("Eval succeeded under a certain fault")
+	oracle.Eval(o, []bool{false, false})
+	t.Fatal("EvalBatch succeeded under a certain fault")
 }
 
 // TestListenZeroConfigIsUnwrapped: a zero config must be exactly the

@@ -80,7 +80,7 @@ type Options struct {
 	// Parallel learns non-template outputs with this many concurrent
 	// workers (a library extension — the contest forbade parallelism, so
 	// <= 1 keeps the paper-faithful sequential path). The oracle must be
-	// safe for concurrent Eval calls.
+	// safe for concurrent EvalBatch calls.
 	Parallel int
 	// Progress, when set, receives a checkpoint event at each output
 	// boundary of the learn (see progress.go). Handlers run synchronously

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"logicregression/internal/bitvec"
 	"logicregression/internal/chaos"
 	"logicregression/internal/circuit"
 	"logicregression/internal/oracle"
@@ -51,7 +52,7 @@ func checkDegraded(t *testing.T, res *Result, wantPOs int) {
 
 // deathPoint runs a learn against a fault-free box and returns a FailAfter
 // budget a quarter of the way through its calls (FailAfter counts calls,
-// one per Eval or batch frame, not patterns): the box then dies after the
+// one per batch, not per pattern): the box then dies after the
 // learn's first calls, well before it ends, whatever its batch shape.
 func deathPoint(t *testing.T, g *circuit.Circuit, opts Options) int64 {
 	t.Helper()
@@ -97,7 +98,7 @@ func TestLearnDegradesOnPermanentDeathParallel(t *testing.T) {
 func TestLearnKeepsOutputsLearnedBeforeDeath(t *testing.T) {
 	g := twoOutputGolden()
 	// Measure the learn's call count fault-free, in the same units FailAfter
-	// uses (one call per Eval or batch frame, not per pattern).
+	// uses (one call per batch, not per pattern).
 	probe := chaos.Wrap(oracle.FromCircuit(g), chaos.Config{})
 	full := Learn(probe, Options{Seed: 1, SupportR: 64})
 	if full.Degraded {
@@ -123,7 +124,9 @@ func TestLearnKeepsOutputsLearnedBeforeDeath(t *testing.T) {
 // absorbed as degradation. Any other panic is a bug and must escape.
 type panickyOracle struct{ oracle.Oracle }
 
-func (p panickyOracle) Eval(assignment []bool) []bool { panic("learner bug sentinel") }
+func (p panickyOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
+	panic("learner bug sentinel")
+}
 
 func TestLearnDoesNotSwallowOrdinaryPanics(t *testing.T) {
 	defer func() {
@@ -136,5 +139,5 @@ func TestLearnDoesNotSwallowOrdinaryPanics(t *testing.T) {
 		}
 	}()
 	g := twoOutputGolden()
-	Learn(oracle.ScalarOnly(panickyOracle{oracle.FromCircuit(g)}), Options{Seed: 1, SupportR: 64})
+	Learn(panickyOracle{oracle.FromCircuit(g)}, Options{Seed: 1, SupportR: 64})
 }

@@ -6,7 +6,7 @@ package core
 // non-template outputs are learned concurrently by N workers, each into its
 // own scratch circuit that is stitched into the final netlist afterwards.
 //
-// Requirements: the oracle must be safe for concurrent Eval calls (the
+// Requirements: the oracle must be safe for concurrent EvalBatch calls (the
 // circuit-backed and function-backed oracles are; the TCP client is not).
 // Results are deterministic for a fixed (Seed, Parallel) pair but differ
 // from the sequential path's stream: each output draws from its own seeded

@@ -155,7 +155,7 @@ func toggleProbe(o oracle.Oracle, base []bool, probes []int) []patternBits {
 		p := k + 1
 		lanes[i*w+p/64] ^= 1 << uint(p%64)
 	}
-	res := oracle.AsBatch(o).EvalBatch(lanes, cnt)
+	res := o.EvalBatch(lanes, cnt)
 	out := make([]patternBits, cnt)
 	for k := range out {
 		out[k] = patternBits{lanes: res, w: w, k: k}

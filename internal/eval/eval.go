@@ -87,9 +87,6 @@ func Measure(golden, learned oracle.Oracle, cfg Config) Report {
 	poolHits := [3]int{}
 	poolCounts := [3]int{}
 
-	goldenBatch := oracle.AsBatch(golden)
-	learnedBatch := oracle.AsBatch(learned)
-
 	if cfg.Directed {
 		// All corner patterns (2n+2 of them) go through in one batch query
 		// per oracle instead of one scalar query per pattern.
@@ -97,8 +94,8 @@ func Measure(golden, learned oracle.Oracle, cfg Config) Report {
 		cnt := len(pats)
 		w := oracle.Words(cnt)
 		lanes := packAssignments(pats, n)
-		g := goldenBatch.EvalBatch(lanes, cnt)
-		l := learnedBatch.EvalBatch(lanes, cnt)
+		g := golden.EvalBatch(lanes, cnt)
+		l := learned.EvalBatch(lanes, cnt)
 		for p := 0; p < cnt; p++ {
 			hit := true
 			for j := 0; j < nOut; j++ {
@@ -122,7 +119,7 @@ func Measure(golden, learned oracle.Oracle, cfg Config) Report {
 			count = cfg.Patterns - 2*perPool // absorb rounding
 		}
 		// Chunked batch evaluation: both oracles see whole pattern blocks
-		// (one EvalBatch per chunk instead of one EvalWords per 64), with
+		// (one EvalBatch per chunk, not one per 64-pattern word), with
 		// the random draws in exactly the per-block reference order.
 		for done := 0; done < count; done += evalChunk {
 			cnt := min(count-done, evalChunk)
@@ -134,8 +131,8 @@ func Measure(golden, learned oracle.Oracle, cfg Config) Report {
 					lanes[j*w+b] = x
 				}
 			}
-			g := goldenBatch.EvalBatch(lanes, cnt)
-			l := learnedBatch.EvalBatch(lanes, cnt)
+			g := golden.EvalBatch(lanes, cnt)
+			l := learned.EvalBatch(lanes, cnt)
 			for b := 0; b < w; b++ {
 				batch := min(cnt-b*64, 64)
 				var anyDiff uint64

@@ -224,7 +224,7 @@ func probeTruthRatio(o oracle.Oracle, out int, cube sop.Cube, r int, rng *rand.R
 			lanes[j*w+b] = x
 		}
 	}
-	got := oracle.EvalBatch(o, lanes, r)[out*w : (out+1)*w]
+	got := o.EvalBatch(lanes, r)[out*w : (out+1)*w]
 	ones, total := 0, 0
 	for b := 0; b < w; b++ {
 		batch := min(r-b*64, 64)
@@ -257,7 +257,6 @@ func Exhaustive(o oracle.Oracle, out int, sup []int, rng *rand.Rand) Result {
 
 	ones := uint64(0)
 	table := make([]bool, total)
-	batchOracle := oracle.AsBatch(o)
 	for base := uint64(0); base < total; base += exhaustiveChunk {
 		count := min(total-base, exhaustiveChunk)
 		w := oracle.Words(int(count))
@@ -270,7 +269,7 @@ func Exhaustive(o oracle.Oracle, out int, sup []int, rng *rand.Rand) Result {
 				}
 			}
 		}
-		got := batchOracle.EvalBatch(lanes, int(count))[out*w : (out+1)*w]
+		got := o.EvalBatch(lanes, int(count))[out*w : (out+1)*w]
 		for pat := uint64(0); pat < count; pat++ {
 			if got[pat>>6]>>(pat&63)&1 == 1 {
 				table[base+pat] = true

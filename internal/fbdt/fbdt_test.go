@@ -21,7 +21,7 @@ func checkLearned(t *testing.T, o oracle.Oracle, out int, cover sop.Cover, negat
 		for i := 0; i < n; i++ {
 			a[i] = m>>uint(i)&1 == 1
 		}
-		want := o.Eval(a)[out]
+		want := oracle.Eval(o, a)[out]
 		got := cover.Eval(a) != negate
 		if got != want {
 			t.Fatalf("minterm %0*b: learned %v, oracle %v", n, m, got, want)

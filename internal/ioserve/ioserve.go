@@ -314,7 +314,7 @@ type Conn struct {
 
 	proto  int // negotiated protocol level (1 until a "proto" exchange)
 	o      oracle.Oracle
-	fo     oracle.FallibleBatch
+	fo     oracle.Fallible
 	locked bool // serialize evals on srv.mu (non-Forker oracle)
 	nIn    int
 
@@ -381,17 +381,9 @@ func (c *Conn) replyEvalErr(err error) bool {
 	return false
 }
 
-// evalScalar answers one query through the bound oracle, under the server
-// lock when the oracle cannot fork.
-func (c *Conn) evalScalar(a []bool) ([]bool, error) {
-	if c.locked {
-		c.srv.mu.Lock()
-		defer c.srv.mu.Unlock()
-	}
-	return c.fo.TryEval(a)
-}
-
-// evalBatch answers one batch frame through the bound oracle.
+// evalBatch answers one batch frame (or one v1 query line, a one-pattern
+// batch) through the bound oracle, under the server lock when the oracle
+// cannot fork.
 func (c *Conn) evalBatch(lanes []bitvec.Word, n int) ([]bitvec.Word, error) {
 	if c.locked {
 		c.srv.mu.Lock()
@@ -518,17 +510,9 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 				continue
 			}
 			fmt.Fprintf(c.w, "batch %d\n", k)
-			nOut := c.o.NumOutputs()
-			buf := make([]byte, nOut)
+			buf := make([]byte, c.o.NumOutputs())
 			for q := 0; q < k; q++ {
-				for j := 0; j < nOut; j++ {
-					if out[j*lw+q>>6]>>(uint(q)&63)&1 == 1 {
-						buf[j] = '1'
-					} else {
-						buf[j] = '0'
-					}
-				}
-				c.w.Write(buf)
+				c.w.Write(laneRow(buf, out, lw, q))
 				c.w.WriteByte('\n')
 			}
 			if c.w.Flush() != nil {
@@ -552,14 +536,20 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 				}
 				continue
 			}
-			res, err := c.evalScalar(assign)
+			lanes := make([]bitvec.Word, c.nIn)
+			for i, bit := range assign {
+				if bit {
+					lanes[i] = 1
+				}
+			}
+			out, err := c.evalBatch(lanes, 1)
 			if err != nil {
 				if !c.replyEvalErr(err) {
 					return
 				}
 				continue
 			}
-			if !c.Reply(formatBits(res)) {
+			if !c.Reply(string(laneRow(make([]byte, c.o.NumOutputs()), out, 1, 0))) {
 				return
 			}
 		}
@@ -583,16 +573,13 @@ func parseBits(line string, want int) ([]bool, error) {
 	return out, nil
 }
 
-func formatBits(bits []bool) string {
-	buf := make([]byte, len(bits))
-	for i, b := range bits {
-		if b {
-			buf[i] = '1'
-		} else {
-			buf[i] = '0'
-		}
+// laneRow renders pattern q of lane-packed results (lw words per lane) as
+// one '0'/'1' per output into buf, which sets the output count.
+func laneRow(buf []byte, lanes []bitvec.Word, lw, q int) []byte {
+	for j := range buf {
+		buf[j] = '0' + byte(lanes[j*lw+q>>6]>>(uint(q)&63)&1)
 	}
-	return string(buf)
+	return buf
 }
 
 // DialConfig bounds a client session's patience. The zero value preserves
@@ -611,11 +598,11 @@ type DialConfig struct {
 	MaxReply int
 }
 
-// Client is an Oracle (and BatchOracle) backed by a remote ioserve server.
-// It is safe for sequential use only (the learner is single-threaded per the
-// contest rules). Transport failures panic with *oracle.Failure from the
-// Oracle-interface methods and return errors from the TryEval family; for
-// automatic retry and reconnection use ResilientClient.
+// Client is an oracle.Oracle and oracle.Fallible backed by a remote ioserve
+// server. It is safe for sequential use only (the learner is single-threaded
+// per the contest rules). Transport failures panic with *oracle.Failure from
+// EvalBatch and come back as errors from TryEvalBatch; for automatic retry
+// and reconnection use ResilientClient.
 type Client struct {
 	conn     net.Conn
 	cfg      DialConfig
@@ -877,37 +864,6 @@ func (c *Client) readLineErr() (string, error) {
 	return strings.TrimSpace(c.r.Text()), nil
 }
 
-// Eval issues one query. Transport failures panic with *oracle.Failure: the
-// bare client has no recovery story for a dead black box, matching the
-// contest setting where a dead iogen ends the run. Use ResilientClient (or
-// TryEval) for a learner that survives them.
-func (c *Client) Eval(assignment []bool) []bool {
-	out, err := c.evalErr(assignment)
-	if err != nil {
-		panic(oracle.NewFailure(err))
-	}
-	return out
-}
-
-// TryEval issues one query, returning transport failures as error values
-// (oracle.Fallible).
-func (c *Client) TryEval(assignment []bool) ([]bool, error) {
-	return c.evalErr(assignment)
-}
-
-func (c *Client) evalErr(assignment []bool) ([]bool, error) {
-	if err := c.usable(); err != nil {
-		return nil, err
-	}
-	if len(assignment) != len(c.ins) {
-		panic(fmt.Sprintf("ioserve: %d bits for %d inputs", len(assignment), len(c.ins)))
-	}
-	if err := c.send(formatBits(assignment) + "\n"); err != nil {
-		return nil, err
-	}
-	return c.readReplyErr()
-}
-
 // readReplyErr parses one <obits> reply line, classifying error replies per
 // the wire failure model.
 func (c *Client) readReplyErr() ([]bool, error) {
@@ -938,9 +894,12 @@ func (c *Client) readReplyErr() ([]bool, error) {
 
 // EvalBatch sends the whole batch across the wire. On a v2 session it uses
 // batch framing (one round trip per MaxFrame queries); on a v1 session it
-// pipelines scalar query lines in small chunks, which old servers answer
-// line-by-line. Either way the bits returned are identical to n scalar
-// Evals. Transport failures panic with *oracle.Failure.
+// pipelines query lines in small chunks, which old servers answer
+// line-by-line. Either way the bits returned are identical to n one-pattern
+// queries. Transport failures panic with *oracle.Failure. The bare client
+// has no recovery story for a dead black box, matching the contest setting
+// where a dead iogen ends the run; use ResilientClient (or TryEvalBatch) for
+// a learner that survives it.
 func (c *Client) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	out, err := c.evalBatchErr(patterns, n)
 	if err != nil {
@@ -950,7 +909,7 @@ func (c *Client) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 }
 
 // TryEvalBatch is EvalBatch with transport failures as error values
-// (oracle.FallibleBatch). An error rejects the whole batch.
+// (oracle.Fallible). An error rejects the whole batch.
 func (c *Client) TryEvalBatch(patterns []bitvec.Word, n int) ([]bitvec.Word, error) {
 	return c.evalBatchErr(patterns, n)
 }
@@ -1074,7 +1033,6 @@ func (c *Client) fail(err error) error {
 }
 
 var (
-	_ oracle.Oracle        = (*Client)(nil)
-	_ oracle.BatchOracle   = (*Client)(nil)
-	_ oracle.FallibleBatch = (*Client)(nil)
+	_ oracle.Oracle   = (*Client)(nil)
+	_ oracle.Fallible = (*Client)(nil)
 )

@@ -53,7 +53,7 @@ func TestClientMatchesDirectOracle(t *testing.T) {
 	for m := 0; m < 8; m++ {
 		assign := []bool{m&1 == 1, m>>1&1 == 1, m>>2&1 == 1}
 		want := g.Eval(assign)
-		got := cl.Eval(assign)
+		got := oracle.Eval(cl, assign)
 		for j := range want {
 			if want[j] != got[j] {
 				t.Fatalf("m=%d output %d mismatch", m, j)
@@ -76,7 +76,7 @@ func TestTwoConcurrentClients(t *testing.T) {
 	}
 	defer c2.Close()
 	a := []bool{true, true, false}
-	if c1.Eval(a)[0] != c2.Eval(a)[0] {
+	if oracle.Eval(c1, a)[0] != oracle.Eval(c2, a)[0] {
 		t.Fatal("clients disagree")
 	}
 }
@@ -186,7 +186,7 @@ func TestV2UpgradeAndBatchParity(t *testing.T) {
 	// More than one frame's worth of queries to exercise frame splitting.
 	n := MaxFrame + 77
 	lanes := wireLanes(11, cl.NumInputs(), n)
-	want := oracle.EvalBatch(oracle.FromCircuit(g), lanes, n)
+	want := oracle.FromCircuit(g).EvalBatch(lanes, n)
 	got := cl.EvalBatch(lanes, n)
 	if !lanesEqual(got, want, cl.NumOutputs(), n) {
 		t.Fatal("v2 wire batch diverges from direct evaluation")
@@ -194,7 +194,7 @@ func TestV2UpgradeAndBatchParity(t *testing.T) {
 	// Scalar queries still work on an upgraded session.
 	a := []bool{true, false, true}
 	direct := oracle.FromCircuit(g).Eval(a)
-	for j, bit := range cl.Eval(a) {
+	for j, bit := range oracle.Eval(cl, a) {
 		if bit != direct[j] {
 			t.Fatalf("scalar query on v2 session wrong at output %d", j)
 		}
@@ -227,7 +227,7 @@ func TestV1OnlyServerFallback(t *testing.T) {
 	// several pipeline chunks.
 	n := 5*v1PipelineChunk + 13
 	lanes := wireLanes(23, cl.NumInputs(), n)
-	want := oracle.EvalBatch(oracle.FromCircuit(g), lanes, n)
+	want := oracle.FromCircuit(g).EvalBatch(lanes, n)
 	got := cl.EvalBatch(lanes, n)
 	if !lanesEqual(got, want, cl.NumOutputs(), n) {
 		t.Fatal("v1 pipelined batch diverges from direct evaluation")
@@ -301,7 +301,7 @@ func TestManyConcurrentClients(t *testing.T) {
 				for r := 0; r < rounds; r++ {
 					n := 64 + int(seed)*7 + r
 					lanes := wireLanes(seed*1000+int64(r), cl.NumInputs(), n)
-					want := oracle.EvalBatch(direct, lanes, n)
+					want := direct.EvalBatch(lanes, n)
 					if !lanesEqual(cl.EvalBatch(lanes, n), want, cl.NumOutputs(), n) {
 						return fmt.Errorf("client %d round %d diverged", seed, r)
 					}
@@ -337,7 +337,7 @@ func TestConcurrentClientsSerializedOracle(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				for q := 0; q < queries; q++ {
 					a := []bool{rng.Intn(2) == 1, rng.Intn(2) == 1, rng.Intn(2) == 1}
-					cl.Eval(a)
+					oracle.Eval(cl, a)
 				}
 				return nil
 			}()
@@ -379,7 +379,7 @@ func TestConnectionChurnStress(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				for r := 0; r < rounds; r++ {
 					a := []bool{rng.Intn(2) == 1, rng.Intn(2) == 1, rng.Intn(2) == 1}
-					got, want := cl.Eval(a), direct.Eval(a)
+					got, want := oracle.Eval(cl, a), direct.Eval(a)
 					for i := range want {
 						if got[i] != want[i] {
 							return fmt.Errorf("steady %d: Eval(%v) = %v, want %v", seed, a, got, want)
@@ -400,7 +400,7 @@ func TestConnectionChurnStress(t *testing.T) {
 						return err
 					}
 					a := []bool{rng.Intn(2) == 1, rng.Intn(2) == 1, rng.Intn(2) == 1}
-					got, want := cl.Eval(a), direct.Eval(a)
+					got, want := oracle.Eval(cl, a), direct.Eval(a)
 					cl.Close()
 					for i := range want {
 						if got[i] != want[i] {

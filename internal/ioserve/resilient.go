@@ -16,8 +16,8 @@ package ioserve
 //	give up          "error: fatal:" replies, rejected well-formed queries,
 //	                 a changed port-name greeting (ErrServerChanged), or an
 //	                 exhausted attempt budget — surfaced as a permanent
-//	                 error (a *oracle.Failure panic on the Oracle-interface
-//	                 methods), which core.Learn turns into a degraded result
+//	                 error (a *oracle.Failure panic from EvalBatch), which
+//	                 core.Learn turns into a degraded result
 //
 // Resume correctness rides on two invariants. First, queries are stateless:
 // the black box is a pure function of the assignment, so re-issuing an
@@ -80,8 +80,8 @@ func resilientDefaults(cfg DialConfig) DialConfig {
 	return cfg
 }
 
-// ResilientClient is an Oracle (and BatchOracle, and FallibleBatch) backed
-// by a remote ioserve server that it redials as needed. Operations
+// ResilientClient is an oracle.Oracle and oracle.Fallible backed by a
+// remote ioserve server that it redials as needed. Operations
 // serialize on an internal lock; Close may be called concurrently with an
 // in-flight operation and unblocks it.
 type ResilientClient struct {
@@ -119,7 +119,7 @@ func DialResilient(addr string, dial DialConfig, retry RetryConfig) (*ResilientC
 		wantV2: true,
 		rng:    rand.New(rand.NewSource(retry.Seed)),
 	}
-	if err := r.do(func(*Client) error { return nil }); err != nil {
+	if err := r.doResume(func(*Client) (bool, error) { return false, nil }); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -282,24 +282,17 @@ func (r *ResilientClient) backoffSleep(attempt int) {
 	time.Sleep(d + jitter)
 }
 
-// do runs op against a live session, retrying per the failure
+// doResume runs op against a live session, retrying per the failure
 // classification until it succeeds, fails permanently, or exhausts the
 // attempt budget. The returned error is never transient: whatever escapes
-// here is final.
-func (r *ResilientClient) do(op func(*Client) error) error {
-	return r.doResume(func(c *Client) (bool, error) {
-		return false, op(c)
-	})
-}
-
-// doResume is do for resumable operations: op additionally reports whether
-// the attempt made forward progress (e.g. banked some replies of a batch),
-// and a progressing attempt resets the budget. MaxAttempts therefore
-// bounds consecutive zero-progress attempts, not total attempts — a long
-// v1 batch that advances a little per session eventually completes instead
-// of draining a fixed budget, while a server that answers nothing still
-// fails after MaxAttempts. A retry right after progress skips the backoff:
-// the peer is evidently serving, it just died mid-stream.
+// here is final. op reports whether the attempt made forward progress
+// (e.g. banked some replies of a batch), and a progressing attempt resets
+// the budget. MaxAttempts therefore bounds consecutive zero-progress
+// attempts, not total attempts — a long v1 batch that advances a little
+// per session eventually completes instead of draining a fixed budget,
+// while a server that answers nothing still fails after MaxAttempts. A
+// retry right after progress skips the backoff: the peer is evidently
+// serving, it just died mid-stream.
 func (r *ResilientClient) doResume(op func(*Client) (progressed bool, err error)) error {
 	r.opMu.Lock()
 	defer r.opMu.Unlock()
@@ -382,21 +375,7 @@ func (r *ResilientClient) OutputNames() []string {
 	return append([]string(nil), r.outs...)
 }
 
-// TryEval issues one query with retry/reconnect (oracle.Fallible).
-func (r *ResilientClient) TryEval(assignment []bool) ([]bool, error) {
-	var out []bool
-	err := r.do(func(c *Client) error {
-		var err error
-		out, err = c.evalErr(assignment)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TryEvalBatch issues a batch with retry/reconnect (oracle.FallibleBatch).
+// TryEvalBatch issues a batch with retry/reconnect (oracle.Fallible).
 // The batch is chunked to MaxFrame internally and each chunk resumes
 // across faults: replies received before a drop are banked, and a fresh
 // session re-issues only the unanswered tail. Progress resets the attempt
@@ -445,17 +424,8 @@ func subBatch(patterns []bitvec.Word, w, nLanes, base, k int) []bitvec.Word {
 	return sub
 }
 
-// Eval issues one query, panicking with *oracle.Failure once the retry
+// EvalBatch is TryEvalBatch panicking with *oracle.Failure once the retry
 // budget is exhausted or the failure is fatal (oracle.Oracle).
-func (r *ResilientClient) Eval(assignment []bool) []bool {
-	out, err := r.TryEval(assignment)
-	if err != nil {
-		panic(oracle.NewFailure(err))
-	}
-	return out
-}
-
-// EvalBatch is the panicking batch form (oracle.BatchOracle).
 func (r *ResilientClient) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	out, err := r.TryEvalBatch(patterns, n)
 	if err != nil {
@@ -465,7 +435,6 @@ func (r *ResilientClient) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word
 }
 
 var (
-	_ oracle.Oracle        = (*ResilientClient)(nil)
-	_ oracle.BatchOracle   = (*ResilientClient)(nil)
-	_ oracle.FallibleBatch = (*ResilientClient)(nil)
+	_ oracle.Oracle   = (*ResilientClient)(nil)
+	_ oracle.Fallible = (*ResilientClient)(nil)
 )

@@ -10,9 +10,29 @@ import (
 	"testing"
 	"time"
 
+	"logicregression/internal/bitvec"
 	"logicregression/internal/chaos"
 	"logicregression/internal/oracle"
 )
+
+// tryEval asks f one assignment, as a one-pattern batch.
+func tryEval(f oracle.Fallible, a []bool) ([]bool, error) {
+	lanes := make([]bitvec.Word, len(a))
+	for i, bit := range a {
+		if bit {
+			lanes[i] = 1
+		}
+	}
+	res, err := f.TryEvalBatch(lanes, 1)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, f.NumOutputs())
+	for j := range out {
+		out[j] = res[j]&1 == 1
+	}
+	return out, nil
+}
 
 // fastRetry keeps drills quick: generous attempt budget, millisecond
 // backoff.
@@ -59,7 +79,7 @@ func TestResilientSurvivesConnectionDrops(t *testing.T) {
 	for m := 0; m < 32; m++ {
 		a := []bool{m&1 == 1, m>>1&1 == 1, m>>2&1 == 1}
 		want := direct.Eval(a)
-		got, err := cl.TryEval(a)
+		got, err := tryEval(cl, a)
 		if err != nil {
 			t.Fatalf("query %d: %v", m, err)
 		}
@@ -72,7 +92,7 @@ func TestResilientSurvivesConnectionDrops(t *testing.T) {
 	// A multi-chunk batch across the churning transport.
 	n := MaxFrame + 100
 	lanes := wireLanes(3, cl.NumInputs(), n)
-	want := oracle.EvalBatch(direct, lanes, n)
+	want := direct.EvalBatch(lanes, n)
 	got, err := cl.TryEvalBatch(lanes, n)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +123,7 @@ func TestResilientRetriesTransientReplies(t *testing.T) {
 	for m := 0; m < 64; m++ {
 		a := []bool{m&1 == 1, m>>1&1 == 1, m>>2&1 == 1}
 		want := direct.Eval(a)
-		got, err := cl.TryEval(a)
+		got, err := tryEval(cl, a)
 		if err != nil {
 			t.Fatalf("query %d: %v", m, err)
 		}
@@ -183,10 +203,10 @@ func TestResilientServerChangedIsFatal(t *testing.T) {
 	}
 	defer cl.Close()
 	a := []bool{true, false, true}
-	if _, err := cl.TryEval(a); err != nil {
+	if _, err := tryEval(cl, a); err != nil {
 		t.Fatalf("first query against healthy session: %v", err)
 	}
-	_, err = cl.TryEval(a)
+	_, err = tryEval(cl, a)
 	if !errors.Is(err, ErrServerChanged) {
 		t.Fatalf("resumed against a different black box: err = %v", err)
 	}
@@ -211,7 +231,7 @@ func TestResilientGivesUpWhenServerGone(t *testing.T) {
 	defer cl.Close()
 	ln.Close() // no reconnect target
 
-	_, err = cl.TryEval([]bool{true, false, true})
+	_, err = tryEval(cl, []bool{true, false, true})
 	if err == nil {
 		t.Fatal("query against a vanished server succeeded")
 	}
@@ -247,7 +267,7 @@ func TestResilientCloseDuringServerChurn(t *testing.T) {
 				default:
 				}
 				// Errors are expected once Close lands; panics are not.
-				cl.TryEval([]bool{q&1 == 1, w&1 == 1, true})
+				tryEval(cl, []bool{q&1 == 1, w&1 == 1, true})
 			}
 		}(w)
 	}
@@ -261,7 +281,7 @@ func TestResilientCloseDuringServerChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if _, err := cl.TryEval([]bool{true, true, true}); !errors.Is(err, ErrClientClosed) {
+	if _, err := tryEval(cl, []bool{true, true, true}); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("query after Close: err = %v, want ErrClientClosed", err)
 	}
 }
@@ -283,8 +303,8 @@ func TestClientCloseIdempotentAndReportsFlushError(t *testing.T) {
 	if err := cl.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := cl.TryEval([]bool{true, false, true}); !errors.Is(err, ErrClientClosed) {
-		t.Fatalf("TryEval after Close: err = %v, want ErrClientClosed", err)
+	if _, err := tryEval(cl, []bool{true, false, true}); !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("query after Close: err = %v, want ErrClientClosed", err)
 	}
 
 	cl2, err := Dial(addr)
@@ -340,7 +360,7 @@ func TestResilientV1Fallback(t *testing.T) {
 	}
 	n := 2*v1PipelineChunk + 9
 	lanes := wireLanes(7, cl.NumInputs(), n)
-	want := oracle.EvalBatch(oracle.FromCircuit(g), lanes, n)
+	want := oracle.FromCircuit(g).EvalBatch(lanes, n)
 	got, err := cl.TryEvalBatch(lanes, n)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +396,7 @@ func TestResilientV1ResumesAcrossDrops(t *testing.T) {
 
 	n := 4 * v1PipelineChunk
 	lanes := wireLanes(5, cl.NumInputs(), n)
-	want := oracle.EvalBatch(oracle.FromCircuit(g), lanes, n)
+	want := oracle.FromCircuit(g).EvalBatch(lanes, n)
 	got, err := cl.TryEvalBatch(lanes, n)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,8 @@
 package oracle
 
-// The batched query engine: every stage of the learning pipeline (pattern
-// sampling, support identification, FBDT node splitting, accuracy evaluation,
-// refinement sweeps) issues its black-box queries in blocks, and this file
-// defines the block-level interface those stages speak.
+// The lane layout of Oracle.EvalBatch: every stage of the learning pipeline
+// (pattern sampling, support identification, FBDT node splitting, accuracy
+// evaluation, refinement sweeps) issues its black-box queries in blocks.
 //
 // A batch of n patterns is bit-packed into lanes: with W = Words(n) words per
 // lane, input lane i occupies patterns[i*W : (i+1)*W], and bit k of a lane
@@ -12,10 +11,10 @@ package oracle
 // the last word) are don't-cares on both sides: implementations may evaluate
 // or ignore them, and callers must mask result tails before counting.
 //
-// The scalar Eval path remains the reference semantics: for any oracle o and
-// any batch, EvalBatch must be bitwise identical to evaluating each pattern
-// with o.Eval — the parity tests in batch_test.go enforce this across all 20
-// benchmark cases.
+// One query per pattern is the reference semantics: for any oracle o and any
+// batch, EvalBatch must be bitwise identical to asking each pattern alone
+// (Eval, ScalarOnly) — the parity tests in batch_test.go enforce this across
+// all 20 benchmark cases.
 
 import (
 	"fmt"
@@ -28,18 +27,6 @@ import (
 //logicreg:hotpath
 func Words(n int) int { return (n + 63) / 64 }
 
-// BatchOracle is implemented by oracles that can answer many queries in one
-// call, bit-packed into lanes (see the package layout comment above). Batch
-// calls carry the same information as n scalar queries; the interface exists
-// purely to amortize per-query overhead (simulation scratch, cache probes,
-// network round trips).
-type BatchOracle interface {
-	Oracle
-	// EvalBatch evaluates n patterns packed into input lanes and returns
-	// NumOutputs() result lanes in the same layout.
-	EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word
-}
-
 // Forker is implemented by oracles that can hand out a handle usable from
 // another goroutine concurrently with the receiver and all other forks.
 // Stateless oracles (pure simulators, replay tables) return themselves;
@@ -50,54 +37,21 @@ type Forker interface {
 	Fork() Oracle
 }
 
-// AsBatch lifts any oracle to the batch interface. Oracles that already
-// implement BatchOracle are returned unchanged; everything else is wrapped in
-// an adapter that evaluates block-by-block through the 64-way word interface
-// when available and one scalar Eval per pattern otherwise. Either way the
-// results are bitwise identical to the scalar reference, so consumers can
-// speak batch unconditionally.
-func AsBatch(o Oracle) BatchOracle {
-	if b, ok := o.(BatchOracle); ok {
-		return b
-	}
-	return &liftedBatch{o}
-}
-
-// liftedBatch adapts a scalar (or word-level) oracle to BatchOracle.
-type liftedBatch struct {
-	Oracle
-}
-
-func (l *liftedBatch) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
-	return blockEvalBatch(l.Oracle, patterns, n)
-}
-
-// blockEvalBatch is the reference batch implementation: one EvalWords call
-// per 64-pattern block for word-capable oracles, and exactly one scalar Eval
-// per live pattern otherwise (a plain oracle never pays for the padded tail
-// of the last block — n batched queries cost n real queries).
-func blockEvalBatch(o Oracle, patterns []bitvec.Word, n int) []bitvec.Word {
-	nIn, nOut := o.NumInputs(), o.NumOutputs()
+// evalPerPattern is the reference batch implementation: f answers each of
+// the n patterns alone. The result has one lane per output f returns, so an
+// f that disagrees with its declared arity shows in the lane count.
+func evalPerPattern(nIn int, patterns []bitvec.Word, n int, f func([]bool) []bool) []bitvec.Word {
 	w := Words(n)
 	checkBatch(len(patterns), nIn, n)
-	out := make([]bitvec.Word, nOut*w)
-	if wo, ok := o.(WordOracle); ok {
-		in := make([]uint64, nIn)
-		for b := 0; b < w; b++ {
-			for i := 0; i < nIn; i++ {
-				in[i] = patterns[i*w+b]
-			}
-			res := wo.EvalWords(in)
-			for j := 0; j < nOut; j++ {
-				out[j*w+b] = res[j]
-			}
-		}
-		return out
-	}
+	var out []bitvec.Word
 	assign := make([]bool, nIn)
 	for k := 0; k < n; k++ {
 		patternBools(patterns, w, nIn, k, assign)
-		scatterBools(out, w, k, o.Eval(assign))
+		v := f(assign)
+		if out == nil {
+			out = make([]bitvec.Word, len(v)*w)
+		}
+		scatterBools(out, w, k, v)
 	}
 	return out
 }
@@ -114,20 +68,18 @@ func checkBatch(got, nIn, n int) {
 	}
 }
 
-// EvalBatch evaluates n lane-packed patterns on any oracle, using the batch
-// interface when available.
-func EvalBatch(o Oracle, patterns []bitvec.Word, n int) []bitvec.Word {
-	return AsBatch(o).EvalBatch(patterns, n)
-}
-
-// ScalarOnly restricts o to the plain Eval interface, hiding any word- or
-// batch-level fast path it implements. It is the reference wrapper for the
+// ScalarOnly hides any batching o does: every pattern of a batch becomes
+// its own one-pattern query. It is the reference wrapper for the
 // equivalence guarantee: for any oracle, learning against ScalarOnly(o) and
 // against o itself must produce byte-identical results at a fixed seed.
 func ScalarOnly(o Oracle) Oracle { return &scalarOnly{o} }
 
 type scalarOnly struct {
 	Oracle
+}
+
+func (s *scalarOnly) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
+	return evalPerPattern(s.NumInputs(), patterns, n, func(a []bool) []bool { return Eval(s.Oracle, a) })
 }
 
 // laneBit returns the value of input/output lane i in pattern k.

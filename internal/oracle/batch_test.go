@@ -1,8 +1,8 @@
 package oracle_test
 
 // Equivalence guarantee of the batched query engine: EvalBatch must be
-// bitwise identical to looping scalar Eval, for every oracle wrapper, on all
-// 20 benchmark cases. (External test package: internal/cases itself imports
+// bitwise identical to asking one pattern at a time, for every oracle
+// wrapper, on all 20 benchmark cases. (External test package: internal/cases itself imports
 // internal/oracle.)
 
 import (
@@ -33,19 +33,36 @@ func randomLanes(rng *rand.Rand, nIn, n int) []bitvec.Word {
 	return lanes
 }
 
-// scalarReference evaluates every pattern with one Eval call each.
-func scalarReference(o oracle.Oracle, lanes []bitvec.Word, n int) []bitvec.Word {
+// scalarReference evaluates every pattern with one eval call each.
+func scalarReference(eval func([]bool) []bool, nIn, nOut int, lanes []bitvec.Word, n int) []bitvec.Word {
 	w := oracle.Words(n)
-	out := make([]bitvec.Word, o.NumOutputs()*w)
-	a := make([]bool, o.NumInputs())
+	out := make([]bitvec.Word, nOut*w)
+	a := make([]bool, nIn)
 	for k := 0; k < n; k++ {
 		for i := range a {
 			a[i] = lanes[i*w+k>>6]>>(uint(k)&63)&1 == 1
 		}
-		for j, bit := range o.Eval(a) {
+		for j, bit := range eval(a) {
 			if bit {
 				out[j*w+k>>6] |= 1 << (uint(k) & 63)
 			}
+		}
+	}
+	return out
+}
+
+// blockwise answers a batch one 64-pattern block at a time through the
+// circuit oracle's EvalWords.
+func blockwise(o *oracle.CircuitOracle, lanes []bitvec.Word, n int) []bitvec.Word {
+	w := oracle.Words(n)
+	out := make([]bitvec.Word, o.NumOutputs()*w)
+	in := make([]uint64, o.NumInputs())
+	for b := 0; b < w; b++ {
+		for i := range in {
+			in[i] = lanes[i*w+b]
+		}
+		for j, v := range o.EvalWords(in) {
+			out[j*w+b] = v
 		}
 	}
 	return out
@@ -69,9 +86,9 @@ func assertLanesEqual(t *testing.T, name string, got, want []bitvec.Word, nOut, 
 }
 
 // TestEvalBatchParityAllCases is the seeded fuzz/parity sweep over every
-// benchmark oracle: the circuit-backed batch path, the lifted scalar
-// adapter, and the Counter/Memo/Recorder wrappers must all agree with the
-// scalar reference bit for bit.
+// benchmark oracle: the circuit-backed batch path, the one-pattern-per-query
+// ScalarOnly wrapper, the Eval helper, and the Counter/Memo wrappers must
+// all agree with the circuit's scalar simulator bit for bit.
 func TestEvalBatchParityAllCases(t *testing.T) {
 	for _, cs := range cases.All() {
 		cs := cs
@@ -81,13 +98,17 @@ func TestEvalBatchParityAllCases(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(cs.Name)) * 7919))
 			for _, n := range []int{1, 63, 64, 200} {
 				lanes := randomLanes(rng, o.NumInputs(), n)
-				want := scalarReference(o, lanes, n)
+				want := scalarReference(cs.Circuit.Eval, o.NumInputs(), o.NumOutputs(), lanes, n)
 
-				got := oracle.EvalBatch(o, lanes, n)
+				got := o.EvalBatch(lanes, n)
 				assertLanesEqual(t, "circuit-batch", got, want, o.NumOutputs(), n)
 
-				lifted := oracle.AsBatch(oracle.ScalarOnly(o)).EvalBatch(lanes, n)
-				assertLanesEqual(t, "lifted-scalar", lifted, want, o.NumOutputs(), n)
+				scalar := oracle.ScalarOnly(o).EvalBatch(lanes, n)
+				assertLanesEqual(t, "scalar-only", scalar, want, o.NumOutputs(), n)
+
+				helper := scalarReference(func(a []bool) []bool { return oracle.Eval(o, a) },
+					o.NumInputs(), o.NumOutputs(), lanes, n)
+				assertLanesEqual(t, "eval-helper", helper, want, o.NumOutputs(), n)
 
 				counted := oracle.NewCounter(o)
 				assertLanesEqual(t, "counter", counted.EvalBatch(lanes, n), want, o.NumOutputs(), n)
@@ -103,9 +124,10 @@ func TestEvalBatchParityAllCases(t *testing.T) {
 	}
 }
 
-// TestBatchTranscriptRecordReplay pushes a batch through a Recorder and
-// replays the transcript through the batch path: record->replay must be the
-// identity, and the replayed session must also answer scalar queries.
+// TestBatchTranscriptRecordReplay pushes a batch and single queries (the
+// Eval helper) through a Recorder and replays the transcript through the
+// batch path: record->replay must be the identity whichever way a pattern
+// was recorded, and the replayed session must also answer single queries.
 func TestBatchTranscriptRecordReplay(t *testing.T) {
 	cs, err := cases.ByName("case_10")
 	if err != nil {
@@ -121,6 +143,10 @@ func TestBatchTranscriptRecordReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	lanes := randomLanes(rng, o.NumInputs(), n)
 	want := rec.EvalBatch(lanes, n)
+	const n1 = 70
+	single := randomLanes(rng, o.NumInputs(), n1)
+	wantSingle := scalarReference(func(a []bool) []bool { return oracle.Eval(rec, a) },
+		o.NumInputs(), o.NumOutputs(), single, n1)
 	if rec.Err() != nil {
 		t.Fatal(rec.Err())
 	}
@@ -131,14 +157,16 @@ func TestBatchTranscriptRecordReplay(t *testing.T) {
 	}
 	got := rp.EvalBatch(lanes, n)
 	assertLanesEqual(t, "replay-batch", got, want, o.NumOutputs(), n)
+	got = rp.EvalBatch(single, n1)
+	assertLanesEqual(t, "replay-of-single-queries", got, wantSingle, o.NumOutputs(), n1)
 
-	// Scalar queries against the recorded batch must also resolve.
+	// Single queries against the recorded batch must also resolve.
 	w := oracle.Words(n)
 	a := make([]bool, o.NumInputs())
 	for i := range a {
 		a[i] = lanes[i*w]&1 == 1 // pattern 0
 	}
-	for j, bit := range rp.Eval(a) {
+	for j, bit := range oracle.Eval(rp, a) {
 		if bit != (want[j*w]&1 == 1) {
 			t.Fatalf("scalar replay of recorded batch pattern diverges at output %d", j)
 		}
@@ -156,7 +184,7 @@ func TestProjectBatchLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 90
 	lanes := randomLanes(rng, o.NumInputs(), n)
-	full := oracle.EvalBatch(o, lanes, n)
+	full := o.EvalBatch(lanes, n)
 	w := oracle.Words(n)
 	for out := 0; out < o.NumOutputs(); out += 3 {
 		p := oracle.NewProject(o, out)
@@ -200,7 +228,7 @@ func TestCircuitOracleFollowsCircuitGrowth(t *testing.T) {
 		}
 		for _, n := range []int{1, 130, 64 * 300} {
 			lanes := randomLanes(rng, o.NumInputs(), n)
-			want := scalarReference(o, lanes, n)
+			want := scalarReference(c.Eval, o.NumInputs(), o.NumOutputs(), lanes, n)
 			assertLanesEqual(t, st.name, o.EvalBatch(lanes, n), want, o.NumOutputs(), n)
 		}
 	}
@@ -219,14 +247,13 @@ func TestCircuitOracleConcurrentBatchWidths(t *testing.T) {
 		lanes, want []bitvec.Word
 		n           int
 	}
-	// The reference answers block by block through EvalWords (the lifted
-	// word path), which shares no scratch with EvalBatch.
-	words := oracle.AsBatch(struct{ oracle.WordOracle }{o})
+	// The reference answers block by block through EvalWords, which
+	// shares no scratch with EvalBatch.
 	rng := rand.New(rand.NewSource(21))
 	var jobs []job
 	for _, n := range []int{1, 70, 640, 6400, 64 * 300} {
 		lanes := randomLanes(rng, o.NumInputs(), n)
-		jobs = append(jobs, job{lanes, words.EvalBatch(lanes, n), n})
+		jobs = append(jobs, job{lanes, blockwise(o, lanes, n), n})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -43,34 +43,35 @@ func BenchmarkOracleBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	o := cs.Oracle()
+	o := oracle.FromCircuit(cs.Circuit)
 	lanes := randomLanes(rand.New(rand.NewSource(1)), o.NumInputs(), benchPatterns)
 
 	benchOnce.Do(func() { writeBenchJSON(b, o, lanes) })
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		oracle.EvalBatch(o, lanes, benchPatterns)
+		o.EvalBatch(lanes, benchPatterns)
 	}
 	b.ReportMetric(float64(benchPatterns), "patterns/op")
 }
 
-func writeBenchJSON(b *testing.B, o oracle.Oracle, lanes []uint64) {
+func writeBenchJSON(b *testing.B, o *oracle.CircuitOracle, lanes []uint64) {
 	modes := []struct {
 		name string
 		fn   func()
 	}{
 		{"scalar", func() {
-			// One Eval per pattern: the pre-batching reference cost.
-			scalarReference(oracle.ScalarOnly(o), lanes, benchPatterns)
+			// One single-pattern query per pattern: the pre-batching
+			// reference cost.
+			oracle.ScalarOnly(o).EvalBatch(lanes, benchPatterns)
 		}},
 		{"words", func() {
 			// 64-way word evaluation, driven block by block.
-			oracle.EvalBatch(oracle.AsBatch(wordsOnly{o}), lanes, benchPatterns)
+			blockwise(o, lanes, benchPatterns)
 		}},
 		{"batch", func() {
 			// The full batch path with amortized simulation scratch.
-			oracle.EvalBatch(o, lanes, benchPatterns)
+			o.EvalBatch(lanes, benchPatterns)
 		}},
 	}
 	rows := make([]benchRow, len(modes))
@@ -113,14 +114,4 @@ func timeMode(fn func()) float64 {
 			return float64(d.Nanoseconds()) / float64(n)
 		}
 	}
-}
-
-// wordsOnly exposes the word interface but hides EvalBatch, isolating the
-// per-block path from the scratch-reusing batch path.
-type wordsOnly struct {
-	oracle.Oracle
-}
-
-func (w wordsOnly) EvalWords(in []uint64) []uint64 {
-	return w.Oracle.(oracle.WordOracle).EvalWords(in)
 }

@@ -23,15 +23,48 @@ func (f *failingOracle) NumOutputs() int       { return 1 }
 func (f *failingOracle) InputNames() []string  { return []string{"a", "b"} }
 func (f *failingOracle) OutputNames() []string { return []string{"z"} }
 
-func (f *failingOracle) TryEval(a []bool) ([]bool, error) {
-	f.calls++
-	if f.dieAfter > 0 && f.calls > f.dieAfter {
-		return nil, errInjected
+func (f *failingOracle) TryEvalBatch(patterns []bitvec.Word, n int) ([]bitvec.Word, error) {
+	w := Words(n)
+	out := make([]bitvec.Word, w)
+	a := make([]bool, 2)
+	for k := 0; k < n; k++ {
+		f.calls++
+		if f.dieAfter > 0 && f.calls > f.dieAfter {
+			return nil, errInjected
+		}
+		if f.failEvery > 0 && f.calls%f.failEvery == 0 {
+			return nil, Transient(errInjected)
+		}
+		patternBools(patterns, w, 2, k, a)
+		if a[0] != a[1] {
+			setLaneBit(out, w, 0, k)
+		}
 	}
-	if f.failEvery > 0 && f.calls%f.failEvery == 0 {
-		return nil, Transient(errInjected)
+	return out, nil
+}
+
+// strictFailing is the panicking face of failingOracle, the shape every
+// transport's EvalBatch has: errors leave as *Failure panics.
+type strictFailing struct{ *failingOracle }
+
+func (s strictFailing) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
+	out, err := s.TryEvalBatch(patterns, n)
+	if err != nil {
+		panic(NewFailure(err))
 	}
-	return []bool{a[0] != a[1]}, nil
+	return out
+}
+
+// tryEval asks f one assignment, as a one-pattern batch.
+func tryEval(f Fallible, a []bool) ([]bool, error) {
+	lanes := packPatterns([][]bool{a}, len(a))
+	res, err := f.TryEvalBatch(lanes, 1)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, f.NumOutputs())
+	patternBools(res, 1, len(out), 0, out)
+	return out, nil
 }
 
 func TestTransientMarkSurvivesWrapping(t *testing.T) {
@@ -54,55 +87,24 @@ func TestTransientMarkSurvivesWrapping(t *testing.T) {
 	}
 }
 
-func TestStrictPanicsWithFailure(t *testing.T) {
-	o := Strict(&failingOracle{dieAfter: 0, failEvery: 1})
-	defer func() {
-		rec := recover()
-		f, ok := rec.(*Failure)
-		if !ok {
-			t.Fatalf("panic value %T, want *Failure", rec)
-		}
-		if !errors.Is(f, errInjected) {
-			t.Fatalf("Failure does not unwrap to the cause: %v", f)
-		}
-		if !IsTransient(f.Err) {
-			t.Fatal("transient mark lost crossing the strict boundary")
-		}
-	}()
-	o.Eval([]bool{true, false})
-}
-
-func TestStrictForwardsResults(t *testing.T) {
-	o := Strict(&failingOracle{})
-	if got := o.Eval([]bool{true, false}); !got[0] {
-		t.Fatal("strict adapter corrupted the result")
-	}
-	// Batch path via the scalar adapter (failingOracle is not FallibleBatch).
-	lanes := []bitvec.Word{0b01, 0b10} // pattern0: a=1 b=0, pattern1: a=0 b=1
-	out := o.EvalBatch(lanes, 2)
-	if out[0]&0b11 != 0b11 {
-		t.Fatalf("batch result %b, want both patterns to xor to 1", out[0])
-	}
-}
-
 func TestAsFallibleRecoversFailurePanics(t *testing.T) {
-	// Strict over a fallible, memoized, then lifted back: the error must
-	// come out as a value, not a panic.
+	// A strict oracle over a fallible one, memoized, then lifted back: the
+	// error must come out as a value, not a panic.
 	inner := &failingOracle{dieAfter: 2}
-	f := AsFallible(NewMemo(Strict(inner)))
-	if _, err := f.TryEval([]bool{true, false}); err != nil {
+	f := AsFallible(NewMemo(strictFailing{inner}))
+	if _, err := tryEval(f, []bool{true, false}); err != nil {
 		t.Fatalf("healthy query failed: %v", err)
 	}
-	if _, err := f.TryEval([]bool{false, true}); err != nil {
+	if _, err := tryEval(f, []bool{false, true}); err != nil {
 		t.Fatalf("healthy query failed: %v", err)
 	}
-	_, err := f.TryEval([]bool{true, true})
+	_, err := tryEval(f, []bool{true, true})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("got %v, want the injected fault as a value", err)
 	}
 	// The memoized response must still be served (no wire hit: inner would
 	// fail it).
-	if out, err := f.TryEval([]bool{true, false}); err != nil || !out[0] {
+	if out, err := tryEval(f, []bool{true, false}); err != nil || !out[0] {
 		t.Fatalf("memoized replay broken after failure: %v %v", out, err)
 	}
 }
@@ -118,22 +120,5 @@ func TestAsFallibleDoesNotEatOtherPanics(t *testing.T) {
 			t.Fatal("non-Failure panic was swallowed")
 		}
 	}()
-	f.TryEval([]bool{true})
-}
-
-// A value that implements Fallible but not FallibleBatch must take the
-// scalar-adapter path and reject the whole batch on error.
-func TestAsFallibleScalarAdapter(t *testing.T) {
-	inner := &failingOracle{dieAfter: 3}
-	f := asFallibleFromFallible(inner)
-	lanes := []bitvec.Word{0b0101, 0b0011}
-	if _, err := f.TryEvalBatch(lanes, 4); !errors.Is(err, errInjected) {
-		t.Fatalf("batch crossing the death point: err=%v, want injected fault", err)
-	}
-}
-
-// asFallibleFromFallible exercises the Fallible branch of AsFallible without
-// requiring the test double to implement Oracle.
-func asFallibleFromFallible(f Fallible) FallibleBatch {
-	return &fallibleBatchAdapter{f: f}
+	tryEval(f, []bool{true})
 }

@@ -76,11 +76,11 @@ func TestForkerConcurrentSessions(t *testing.T) {
 				var got []bool
 				switch op % 3 {
 				case 0:
-					got = mine.Eval(assign)
+					got = oracle.Eval(mine, assign)
 				case 1:
-					got = shared.Eval(assign)
+					got = oracle.Eval(shared, assign)
 				default:
-					// One-pattern batch through the word-parallel path.
+					// The same one-pattern batch, packed by hand.
 					lanes := make([]bitvec.Word, nIn)
 					for i := 0; i < nIn; i++ {
 						if assign[i] {
@@ -109,7 +109,7 @@ func TestForkerConcurrentSessions(t *testing.T) {
 	}
 
 	// The shared memo's atomic stats must account for exactly the queries
-	// sent its way: one Eval per op%3==1 across all sessions.
+	// sent its way: one query per op%3==1 across all sessions.
 	st := shared.Stats()
 	wantShared := int64(sessions * opsPerSession / 3)
 	if st.Hits+st.Misses != wantShared {
@@ -133,11 +133,11 @@ func (s *statefulFork) Fork() oracle.Oracle {
 	return &statefulFork{Oracle: s.Oracle}
 }
 
-func (s *statefulFork) Eval(a []bool) []bool {
+func (s *statefulFork) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	s.mu.Lock()
 	s.count++
 	s.mu.Unlock()
-	return s.Oracle.Eval(a)
+	return s.Oracle.EvalBatch(patterns, n)
 }
 
 func TestForkerStateIsolation(t *testing.T) {
@@ -155,7 +155,7 @@ func TestForkerStateIsolation(t *testing.T) {
 		go func(h *statefulFork) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				h.Eval(assign)
+				oracle.Eval(h, assign)
 			}
 		}(h)
 	}

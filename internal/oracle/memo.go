@@ -2,8 +2,7 @@ package oracle
 
 // Memo: a sharded, bounded, memoizing oracle wrapper. The contest allows
 // repeated queries, but caching keeps the learner's query count honest when
-// the tree resamples overlapping regions — and with the batch interface the
-// cache no longer forces scalar evaluation: a batched query probes the cache
+// the tree resamples overlapping regions. A batched query probes the cache
 // per pattern, gathers the misses, and forwards them to the inner oracle as
 // one (smaller) batch.
 //
@@ -219,24 +218,6 @@ func (o *Memo) Preload(key string, out []bool) {
 	o.insert(o.shard(key), key, append([]bool(nil), out...))
 }
 
-func (o *Memo) Eval(a []bool) []bool {
-	key := assignKey(a)
-	s := o.shard(key)
-	if out, ok := o.get(s, key); ok {
-		return append([]bool(nil), out...)
-	}
-	v := o.inner.Eval(a)
-	o.put(s, key, append([]bool(nil), v...))
-	return v
-}
-
-// EvalWords answers a 64-pattern block through the batched cache path.
-func (o *Memo) EvalWords(in []uint64) []uint64 {
-	lanes := make([]bitvec.Word, len(in))
-	copy(lanes, in) // Words(64) == 1, so the lane layout is the input itself
-	return o.EvalBatch(lanes, 64)
-}
-
 // EvalBatch probes the cache per pattern, deduplicates the misses, forwards
 // them to the inner oracle as one batch, and fills the cache with the fresh
 // responses.
@@ -273,7 +254,7 @@ func (o *Memo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	}
 
 	missLanes := packPatterns(missAssign, nIn)
-	missOut := AsBatch(o.inner).EvalBatch(missLanes, len(missAssign))
+	missOut := o.inner.EvalBatch(missLanes, len(missAssign))
 	mw := Words(len(missAssign))
 	missVals := make([][]bool, len(missAssign))
 	for m := range missAssign {

@@ -18,9 +18,11 @@ func (o *countingOracle) NumInputs() int        { return 3 }
 func (o *countingOracle) NumOutputs() int       { return 1 }
 func (o *countingOracle) InputNames() []string  { return []string{"a", "b", "c"} }
 func (o *countingOracle) OutputNames() []string { return []string{"z"} }
-func (o *countingOracle) Eval(a []bool) []bool {
-	o.calls++
-	return []bool{a[0] != a[1] || a[2]}
+func (o *countingOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
+	return evalPerPattern(3, patterns, n, func(a []bool) []bool {
+		o.calls++
+		return []bool{o.evalPure(a)}
+	})
 }
 
 func assign3(m int) []bool {
@@ -33,21 +35,21 @@ func TestMemoLRUEviction(t *testing.T) {
 
 	// Fill the cache: 4 distinct queries, all misses.
 	for q := 0; q < 4; q++ {
-		m.Eval(assign3(q))
+		Eval(m, assign3(q))
 	}
 	if inner.calls != 4 || m.Len() != 4 {
 		t.Fatalf("after fill: calls=%d len=%d", inner.calls, m.Len())
 	}
 
 	// Touch query 0 so query 1 becomes the LRU victim.
-	m.Eval(assign3(0))
+	Eval(m, assign3(0))
 	if inner.calls != 4 {
 		t.Fatalf("hit went to the inner oracle (calls=%d)", inner.calls)
 	}
 
 	// Insert two fresh queries: evicts 1 then 2 (LRU order), never 0.
-	m.Eval(assign3(4))
-	m.Eval(assign3(5))
+	Eval(m, assign3(4))
+	Eval(m, assign3(5))
 	if m.Len() != 4 {
 		t.Fatalf("capacity not enforced: len=%d", m.Len())
 	}
@@ -56,11 +58,11 @@ func TestMemoLRUEviction(t *testing.T) {
 	}
 
 	callsBefore := inner.calls
-	m.Eval(assign3(0)) // still cached: recency protected it
+	Eval(m, assign3(0)) // still cached: recency protected it
 	if inner.calls != callsBefore {
 		t.Fatal("recently used entry was evicted")
 	}
-	m.Eval(assign3(1)) // evicted: must re-query
+	Eval(m, assign3(1)) // evicted: must re-query
 	if inner.calls != callsBefore+1 {
 		t.Fatal("evicted entry still answered from cache")
 	}
@@ -110,17 +112,17 @@ func TestMemoWordsGoThroughCache(t *testing.T) {
 	inner := &countingOracle{}
 	m := NewMemoCap(inner, 64)
 	in := []uint64{0xAAAA, 0xCCCC, 0xF0F0}
-	r1 := m.EvalWords(in)
-	r2 := m.EvalWords(in)
+	r1 := m.EvalBatch(in, 64)
+	r2 := m.EvalBatch(in, 64)
 	if r1[0] != r2[0] {
-		t.Fatalf("EvalWords unstable: %x vs %x", r1[0], r2[0])
+		t.Fatalf("64-pattern batch unstable: %x vs %x", r1[0], r2[0])
 	}
 	if inner.calls != 8 { // 3 inputs -> at most 8 distinct assignments
 		t.Fatalf("inner calls = %d, want 8", inner.calls)
 	}
-	want := EvalWords(ScalarOnly(inner), in)
+	want := ScalarOnly(inner).EvalBatch(in, 64)
 	if r1[0] != want[0] {
-		t.Fatalf("EvalWords = %x, reference %x", r1[0], want[0])
+		t.Fatalf("64-pattern batch = %x, reference %x", r1[0], want[0])
 	}
 }
 
@@ -134,7 +136,7 @@ func TestMemoCapacityValidation(t *testing.T) {
 }
 
 // TestMemoConcurrentStress hammers one shared Memo from many goroutines with
-// overlapping keys, mixed scalar/word/batch queries, live stats reads, and a
+// overlapping keys, mixed one-pattern/64-pattern/odd-sized batch queries, live stats reads, and a
 // capacity small enough to force constant eviction. Run under -race this is
 // the regression test for the sharded LRU's locking; functionally every
 // answer must still match the inner oracle.
@@ -158,17 +160,17 @@ func TestMemoConcurrentStress(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0:
 					a := assign3(rng.Intn(8))
-					want := inner.Eval(a)
-					if got := m.Eval(a); got[0] != want[0] {
+					want := inner.eval(a)
+					if got := Eval(m, a); got[0] != want[0] {
 						errs <- fmt.Errorf("Eval(%v) = %v, want %v", a, got, want)
 						return
 					}
 				case 1:
 					in := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}
-					got := m.EvalWords(in)
+					got := m.EvalBatch(in, 64)
 					want := in[0] ^ in[1] | in[2]
 					if got[0] != want {
-						errs <- fmt.Errorf("EvalWords(%x) = %x, want %x", in, got[0], want)
+						errs <- fmt.Errorf("EvalBatch(%x, 64) = %x, want %x", in, got[0], want)
 						return
 					}
 				case 2:
@@ -177,7 +179,7 @@ func TestMemoConcurrentStress(t *testing.T) {
 					for i := range lanes {
 						lanes[i] = bitvec.Word(rng.Uint64())
 					}
-					out := EvalBatch(m, lanes, n)
+					out := m.EvalBatch(lanes, n)
 					words := Words(n)
 					for k := 0; k < n; k++ {
 						w, bit := k/64, uint(k%64)
@@ -186,7 +188,7 @@ func TestMemoConcurrentStress(t *testing.T) {
 							lanes[1*words+w]>>bit&1 == 1,
 							lanes[2*words+w]>>bit&1 == 1,
 						}
-						want := inner.Eval(a)[0]
+						want := inner.eval(a)[0]
 						if got := out[w]>>bit&1 == 1; got != want {
 							errs <- fmt.Errorf("EvalBatch pattern %d = %v, want %v", k, got, want)
 							return
@@ -218,4 +220,7 @@ func (statelessOracle) NumInputs() int        { return 3 }
 func (statelessOracle) NumOutputs() int       { return 1 }
 func (statelessOracle) InputNames() []string  { return []string{"a", "b", "c"} }
 func (statelessOracle) OutputNames() []string { return []string{"z"} }
-func (statelessOracle) Eval(a []bool) []bool  { return []bool{a[0] != a[1] || a[2]} }
+func (statelessOracle) eval(a []bool) []bool  { return []bool{a[0] != a[1] || a[2]} }
+func (o statelessOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
+	return evalPerPattern(3, patterns, n, o.eval)
+}

@@ -52,8 +52,8 @@ func TestMemoHookInsert(t *testing.T) {
 	m.SetHook(h)
 
 	a := []bool{true, false, true}
-	m.Eval(a)
-	m.Eval(a) // hit: no second insert
+	Eval(m, a)
+	Eval(m, a) // hit: no second insert
 	ins, ev := h.counts()
 	if ins != 1 || ev != 0 {
 		t.Fatalf("counts = %d inserts / %d evicts, want 1/0", ins, ev)
@@ -74,7 +74,7 @@ func TestMemoHookEviction(t *testing.T) {
 		{false, true, false}, // evicts the first
 	}
 	for _, p := range pats {
-		m.Eval(p)
+		Eval(m, p)
 	}
 	ins, ev := h.counts()
 	if ins != 3 || ev != 1 {
@@ -104,7 +104,7 @@ func TestMemoPreloadSilent(t *testing.T) {
 	}
 
 	// The preloaded entry answers without reaching the inner oracle.
-	out := m.Eval(a)
+	out := Eval(m, a)
 	if len(out) != 1 || out[0] != true {
 		t.Fatalf("Eval = %v", out)
 	}
@@ -158,7 +158,7 @@ func TestMemoSetHookNilDetaches(t *testing.T) {
 	h := newRecordingHook()
 	m.SetHook(h)
 	m.SetHook(nil)
-	m.Eval([]bool{true, false, false})
+	Eval(m, []bool{true, false, false})
 	if ins, ev := h.counts(); ins != 0 || ev != 0 {
 		t.Fatalf("detached hook still fired: %d/%d", ins, ev)
 	}

@@ -6,15 +6,10 @@
 // is observable. The circuit-backed implementation stands in for the contest
 // `iogen` executables (see DESIGN.md substitutions).
 //
-// Three query granularities coexist, all information-equivalent:
-//
-//	Eval       one assignment per call — the reference semantics
-//	EvalWords  64 assignments bit-packed into one word per input (WordOracle)
-//	EvalBatch  any number of assignments packed into lanes (BatchOracle,
-//	           see batch.go) — the engine the pipeline actually drives
-//
-// Every wrapper in this package (Counter, Memo, Project, Recorder, Replay)
-// preserves the batch capability of the oracle it wraps.
+// The black box has one query shape: EvalBatch, any number of full
+// assignments packed into lanes (see batch.go). A single assignment is a
+// one-pattern batch, asked through the Eval helper. Fallible (fallible.go)
+// is the same query with errors as values, for transports that can fail.
 package oracle
 
 import (
@@ -37,16 +32,26 @@ type Oracle interface {
 	InputNames() []string
 	// OutputNames returns the PO names.
 	OutputNames() []string
-	// Eval queries the generator with one full assignment.
-	Eval(assignment []bool) []bool
+	// EvalBatch evaluates n patterns packed into input lanes and returns
+	// NumOutputs() result lanes in the same layout (see batch.go). A batch
+	// carries the same information as n single queries and counts as n.
+	EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word
 }
 
-// WordOracle is implemented by oracles that can answer 64 queries at once
-// (bit k of each word is query k). Each word call counts as 64 queries; the
-// information interface is unchanged, this is purely a simulation speedup.
-type WordOracle interface {
-	Oracle
-	EvalWords(inputs []uint64) []uint64
+// Eval queries o with one full assignment, as a one-pattern batch.
+func Eval(o Oracle, a []bool) []bool {
+	lanes := make([]bitvec.Word, len(a))
+	for i, bit := range a {
+		if bit {
+			lanes[i] = 1
+		}
+	}
+	res := o.EvalBatch(lanes, 1)
+	out := make([]bool, o.NumOutputs())
+	for j := range out {
+		out[j] = res[j]&1 == 1
+	}
+	return out
 }
 
 // CircuitOracle wraps a circuit as a black box.
@@ -74,10 +79,12 @@ func (o *CircuitOracle) NumInputs() int        { return o.c.NumPI() }
 func (o *CircuitOracle) NumOutputs() int       { return o.c.NumPO() }
 func (o *CircuitOracle) InputNames() []string  { return o.c.PINames() }
 func (o *CircuitOracle) OutputNames() []string { return o.c.PONames() }
-func (o *CircuitOracle) Eval(a []bool) []bool  { return o.c.Eval(a) }
-func (o *CircuitOracle) EvalWords(in []uint64) []uint64 {
-	return o.c.EvalWords(in)
-}
+
+// Eval and EvalWords simulate one assignment and one 64-pattern word
+// directly. They are not part of the Oracle interface; the learn benchmark
+// harness times them.
+func (o *CircuitOracle) Eval(a []bool) []bool           { return o.c.Eval(a) }
+func (o *CircuitOracle) EvalWords(in []uint64) []uint64 { return o.c.EvalWords(in) }
 
 // EvalBatch evaluates the caller's lanes directly with the circuit's
 // simulation kernel (circuit.EvalLanes). A pooled scratch buffer too small
@@ -117,7 +124,11 @@ func (o *FuncOracle) NumInputs() int        { return len(o.Ins) }
 func (o *FuncOracle) NumOutputs() int       { return len(o.Outs) }
 func (o *FuncOracle) InputNames() []string  { return append([]string(nil), o.Ins...) }
 func (o *FuncOracle) OutputNames() []string { return append([]string(nil), o.Outs...) }
-func (o *FuncOracle) Eval(a []bool) []bool  { return o.F(a) }
+
+// EvalBatch calls F once per pattern: the reference semantics of a batch.
+func (o *FuncOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
+	return evalPerPattern(len(o.Ins), patterns, n, o.F)
+}
 
 // Counter wraps an oracle and counts queries. It is safe for concurrent use.
 type Counter struct {
@@ -134,33 +145,12 @@ func (o *Counter) NumOutputs() int       { return o.inner.NumOutputs() }
 func (o *Counter) InputNames() []string  { return o.inner.InputNames() }
 func (o *Counter) OutputNames() []string { return o.inner.OutputNames() }
 
-func (o *Counter) Eval(a []bool) []bool {
-	o.mu.Lock()
-	o.queries++
-	o.mu.Unlock()
-	return o.inner.Eval(a)
-}
-
-// EvalWords forwards to the inner oracle's word interface when present and
-// otherwise falls back to 64 scalar queries. Either way it accounts 64
-// queries.
-func (o *Counter) EvalWords(in []uint64) []uint64 {
-	o.mu.Lock()
-	o.queries += 64
-	o.mu.Unlock()
-	if w, ok := o.inner.(WordOracle); ok {
-		return w.EvalWords(in)
-	}
-	return scalarEvalWords(o.inner, in)
-}
-
-// EvalBatch forwards to the inner oracle's batch interface, accounting
-// exactly n queries (unlike EvalWords, which always accounts a full block).
+// EvalBatch forwards to the inner oracle, accounting exactly n queries.
 func (o *Counter) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	o.mu.Lock()
 	o.queries += int64(n)
 	o.mu.Unlock()
-	return AsBatch(o.inner).EvalBatch(patterns, n)
+	return o.inner.EvalBatch(patterns, n)
 }
 
 // Queries returns the number of queries issued so far.
@@ -177,33 +167,6 @@ func (o *Counter) Reset() {
 	o.mu.Unlock()
 }
 
-// scalarEvalWords answers a 64-wide query with 64 scalar oracle calls.
-func scalarEvalWords(o Oracle, in []uint64) []uint64 {
-	out := make([]uint64, o.NumOutputs())
-	assign := make([]bool, len(in))
-	for k := 0; k < 64; k++ {
-		for i, w := range in {
-			assign[i] = w>>uint(k)&1 == 1
-		}
-		res := o.Eval(assign)
-		for j, b := range res {
-			if b {
-				out[j] |= 1 << uint(k)
-			}
-		}
-	}
-	return out
-}
-
-// EvalWords evaluates 64 parallel queries on any oracle, using the word
-// interface when available.
-func EvalWords(o Oracle, in []uint64) []uint64 {
-	if w, ok := o.(WordOracle); ok {
-		return w.EvalWords(in)
-	}
-	return scalarEvalWords(o, in)
-}
-
 func assignKey(a []bool) string {
 	buf := make([]byte, (len(a)+7)/8)
 	for i, b := range a {
@@ -215,7 +178,7 @@ func assignKey(a []bool) string {
 }
 
 // Validate checks basic interface sanity of an oracle implementation: name
-// counts match arities and Eval returns the declared number of outputs.
+// counts match arities and a one-pattern batch returns one lane per output.
 func Validate(o Oracle) error {
 	if len(o.InputNames()) != o.NumInputs() {
 		return fmt.Errorf("oracle: %d input names for %d inputs", len(o.InputNames()), o.NumInputs())
@@ -223,9 +186,9 @@ func Validate(o Oracle) error {
 	if len(o.OutputNames()) != o.NumOutputs() {
 		return fmt.Errorf("oracle: %d output names for %d outputs", len(o.OutputNames()), o.NumOutputs())
 	}
-	out := o.Eval(make([]bool, o.NumInputs()))
+	out := o.EvalBatch(make([]bitvec.Word, o.NumInputs()), 1)
 	if len(out) != o.NumOutputs() {
-		return fmt.Errorf("oracle: Eval returned %d outputs, want %d", len(out), o.NumOutputs())
+		return fmt.Errorf("oracle: EvalBatch returned %d output lanes, want %d", len(out), o.NumOutputs())
 	}
 	return nil
 }
@@ -251,18 +214,10 @@ func (o *Project) NumOutputs() int       { return 1 }
 func (o *Project) InputNames() []string  { return o.inner.InputNames() }
 func (o *Project) OutputNames() []string { return []string{o.inner.OutputNames()[o.out]} }
 
-func (o *Project) Eval(a []bool) []bool {
-	return []bool{o.inner.Eval(a)[o.out]}
-}
-
-func (o *Project) EvalWords(in []uint64) []uint64 {
-	return []uint64{EvalWords(o.inner, in)[o.out]}
-}
-
 // EvalBatch evaluates the full batch on the inner oracle and returns the
 // selected output's lane.
 func (o *Project) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	w := Words(n)
-	res := AsBatch(o.inner).EvalBatch(patterns, n)
+	res := o.inner.EvalBatch(patterns, n)
 	return res[o.out*w : (o.out+1)*w : (o.out+1)*w]
 }

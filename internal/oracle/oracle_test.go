@@ -44,7 +44,7 @@ func TestFuncOracle(t *testing.T) {
 	if err := Validate(o); err != nil {
 		t.Fatal(err)
 	}
-	if !o.Eval([]bool{false})[0] {
+	if !Eval(o, []bool{false})[0] {
 		t.Fatal("inverter oracle wrong")
 	}
 }
@@ -62,12 +62,12 @@ func TestValidateCatchesBadOracle(t *testing.T) {
 
 func TestCounterCountsScalarAndWordQueries(t *testing.T) {
 	cnt := NewCounter(FromCircuit(xorCircuit()))
-	cnt.Eval([]bool{true, true})
-	cnt.Eval([]bool{false, true})
+	Eval(cnt, []bool{true, true})
+	Eval(cnt, []bool{false, true})
 	if cnt.Queries() != 2 {
 		t.Fatalf("Queries = %d, want 2", cnt.Queries())
 	}
-	cnt.EvalWords([]uint64{0, 0})
+	cnt.EvalBatch([]uint64{0, 0}, 64)
 	if cnt.Queries() != 66 {
 		t.Fatalf("Queries = %d, want 66", cnt.Queries())
 	}
@@ -86,26 +86,10 @@ func TestCounterWordFallbackOnScalarOracle(t *testing.T) {
 	cnt := NewCounter(inner)
 	rng := rand.New(rand.NewSource(1))
 	in := []uint64{rng.Uint64(), rng.Uint64()}
-	got := cnt.EvalWords(in)
+	got := cnt.EvalBatch(in, 64)
 	want := in[0] ^ in[1]
 	if got[0] != want {
-		t.Fatalf("fallback EvalWords = %x, want %x", got[0], want)
-	}
-}
-
-func TestEvalWordsHelperAgreesWithScalar(t *testing.T) {
-	o := FromCircuit(xorCircuit())
-	rng := rand.New(rand.NewSource(2))
-	in := []uint64{rng.Uint64(), rng.Uint64()}
-	words := EvalWords(o, in)
-	for k := 0; k < 64; k++ {
-		a := []bool{in[0]>>uint(k)&1 == 1, in[1]>>uint(k)&1 == 1}
-		out := o.Eval(a)
-		for j := range out {
-			if out[j] != (words[j]>>uint(k)&1 == 1) {
-				t.Fatalf("pattern %d output %d mismatch", k, j)
-			}
-		}
+		t.Fatalf("64-pattern batch over a per-pattern oracle = %x, want %x", got[0], want)
 	}
 }
 
@@ -121,8 +105,8 @@ func TestMemoCachesAndPreservesValues(t *testing.T) {
 	}
 	m := NewMemo(inner)
 	a := []bool{true, true}
-	r1 := m.Eval(a)
-	r2 := m.Eval(a)
+	r1 := Eval(m, a)
+	r2 := Eval(m, a)
 	if calls != 1 {
 		t.Fatalf("inner called %d times, want 1", calls)
 	}
@@ -134,7 +118,7 @@ func TestMemoCachesAndPreservesValues(t *testing.T) {
 	}
 	// Mutating the returned slice must not poison the cache.
 	r2[0] = false
-	if !m.Eval(a)[0] {
+	if !Eval(m, a)[0] {
 		t.Fatal("cache poisoned by caller mutation")
 	}
 }
@@ -145,13 +129,13 @@ func TestProject(t *testing.T) {
 	if p.NumOutputs() != 1 || p.OutputNames()[0] != "w" {
 		t.Fatalf("projection metadata wrong: %v", p.OutputNames())
 	}
-	if got := p.Eval([]bool{true, true}); !got[0] {
+	if got := Eval(p, []bool{true, true}); !got[0] {
 		t.Fatalf("projected AND(1,1) = %v", got)
 	}
-	if got := p.Eval([]bool{true, false}); got[0] {
+	if got := Eval(p, []bool{true, false}); got[0] {
 		t.Fatalf("projected AND(1,0) = %v", got)
 	}
-	w := p.EvalWords([]uint64{^uint64(0), 0})
+	w := p.EvalBatch([]uint64{^uint64(0), 0}, 64)
 	if w[0] != 0 {
 		t.Fatalf("projected words = %x", w[0])
 	}
@@ -176,7 +160,7 @@ func TestTranscriptRecordReplay(t *testing.T) {
 	queries := [][]bool{{true, false}, {false, false}, {true, true}, {true, false}}
 	var want [][]bool
 	for _, q := range queries {
-		want = append(want, rec.Eval(q))
+		want = append(want, Eval(rec, q))
 	}
 	if rec.Err() != nil {
 		t.Fatal(rec.Err())
@@ -196,7 +180,7 @@ func TestTranscriptRecordReplay(t *testing.T) {
 		t.Fatalf("NumQueries = %d, want 3", rp.NumQueries())
 	}
 	for i, q := range queries {
-		got := rp.Eval(q)
+		got := Eval(rp, q)
 		for j := range got {
 			if got[j] != want[i][j] {
 				t.Fatalf("replay differs at query %d output %d", i, j)
@@ -209,7 +193,7 @@ func TestReplayPanicsOnUnknownQuery(t *testing.T) {
 	inner := FromCircuit(xorCircuit())
 	var buf bytes.Buffer
 	rec, _ := NewRecorder(inner, &buf)
-	rec.Eval([]bool{true, true})
+	Eval(rec, []bool{true, true})
 	rp, err := NewReplay(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +203,7 @@ func TestReplayPanicsOnUnknownQuery(t *testing.T) {
 			t.Fatal("unknown query did not panic")
 		}
 	}()
-	rp.Eval([]bool{false, true})
+	Eval(rp, []bool{false, true})
 }
 
 func TestReplayRejectsMalformedTranscripts(t *testing.T) {
@@ -248,7 +232,7 @@ func TestLearnFromReplayedTranscript(t *testing.T) {
 	// Drive a deterministic query pattern directly (a learner run would
 	// work too; this keeps the test self-contained).
 	for m := 0; m < 4; m++ {
-		rec.Eval([]bool{m&1 == 1, m>>1&1 == 1})
+		Eval(rec, []bool{m&1 == 1, m>>1&1 == 1})
 	}
 	rp, err := NewReplay(&buf)
 	if err != nil {
@@ -257,7 +241,7 @@ func TestLearnFromReplayedTranscript(t *testing.T) {
 	for m := 0; m < 4; m++ {
 		a := []bool{m&1 == 1, m>>1&1 == 1}
 		w1 := golden.Eval(a)
-		w2 := rp.Eval(a)
+		w2 := Eval(rp, a)
 		for j := range w1 {
 			if w1[j] != w2[j] {
 				t.Fatal("replay diverges from golden")

@@ -48,26 +48,14 @@ func (r *Recorder) NumOutputs() int       { return r.inner.NumOutputs() }
 func (r *Recorder) InputNames() []string  { return r.inner.InputNames() }
 func (r *Recorder) OutputNames() []string { return r.inner.OutputNames() }
 
-func (r *Recorder) Eval(a []bool) []bool {
-	out := r.inner.Eval(a)
-	r.mu.Lock()
-	fmt.Fprintf(r.w, "%s %s\n", bitString(a), bitString(out))
-	if err := r.w.Flush(); err != nil && r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-	return out
-}
-
 // EvalBatch forwards the batch to the inner oracle and logs every pattern of
-// it, in pattern order, exactly as the equivalent scalar queries would have
-// been logged — so a transcript recorded through the batch path replays
-// interchangeably with one recorded scalar.
+// it, in pattern order, one line per pattern — so a transcript replays the
+// same whichever batch sizes recorded it.
 func (r *Recorder) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	nIn, nOut := r.inner.NumInputs(), r.inner.NumOutputs()
 	w := Words(n)
 	checkBatch(len(patterns), nIn, n)
-	out := AsBatch(r.inner).EvalBatch(patterns, n)
+	out := r.inner.EvalBatch(patterns, n)
 	in := make([]bool, nIn)
 	res := make([]bool, nOut)
 	r.mu.Lock()
@@ -182,33 +170,17 @@ func (r *Replay) NumOutputs() int       { return len(r.outs) }
 func (r *Replay) InputNames() []string  { return append([]string(nil), r.ins...) }
 func (r *Replay) OutputNames() []string { return append([]string(nil), r.outs...) }
 
-func (r *Replay) Eval(a []bool) []bool {
-	key := bitString(a)
-	out, ok := r.responses[key]
-	if !ok {
-		panic(fmt.Sprintf("oracle: replay has no response for query %s (replay with the recording session's seed and options)", key))
-	}
-	return append([]bool(nil), out...)
-}
-
 // EvalBatch answers every pattern of the batch from the transcript; any
-// pattern absent from the recording panics, exactly like scalar Eval.
+// pattern absent from the recording panics.
 func (r *Replay) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
-	nIn, nOut := len(r.ins), len(r.outs)
-	w := Words(n)
-	checkBatch(len(patterns), nIn, n)
-	out := make([]bitvec.Word, nOut*w)
-	in := make([]bool, nIn)
-	for k := 0; k < n; k++ {
-		patternBools(patterns, w, nIn, k, in)
-		v := r.Eval(in)
-		for j, bit := range v {
-			if bit {
-				out[j*w+k>>6] |= 1 << (uint(k) & 63)
-			}
+	return evalPerPattern(len(r.ins), patterns, n, func(a []bool) []bool {
+		key := bitString(a)
+		out, ok := r.responses[key]
+		if !ok {
+			panic(fmt.Sprintf("oracle: replay has no response for query %s (replay with the recording session's seed and options)", key))
 		}
-	}
-	return out
+		return out
+	})
 }
 
 // Fork returns the replay itself: the response table is read-only after

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"logicregression/internal/bitvec"
 	"logicregression/internal/cases"
 	"logicregression/internal/oracle"
 	"logicregression/internal/sop"
@@ -41,7 +42,7 @@ func referencePatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Confi
 	words := (cfg.R + 63) / 64
 	ones := 0
 	ratioIdx := 0
-	b := oracle.AsBatch(o)
+	b := o
 	lanes := make([]uint64, n*words)
 	for _, i := range res.Free {
 		for w := 0; w < words; w++ {
@@ -137,16 +138,23 @@ func TestPatternSamplingMatchesReference(t *testing.T) {
 	}
 }
 
-// queryLog is a scalar-only oracle that records every assignment it is
-// asked, in order.
+// queryLog is an oracle that records every assignment it is asked, in
+// pattern order.
 type queryLog struct {
 	oracle.Oracle
 	keys []string
 }
 
-func (q *queryLog) Eval(a []bool) []bool {
-	q.keys = append(q.keys, oracle.MemoKey(a))
-	return q.Oracle.Eval(a)
+func (q *queryLog) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
+	w := oracle.Words(n)
+	a := make([]bool, q.NumInputs())
+	for k := 0; k < n; k++ {
+		for i := range a {
+			a[i] = patterns[i*w+k>>6]>>(uint(k)&63)&1 == 1
+		}
+		q.keys = append(q.keys, oracle.MemoKey(a))
+	}
+	return q.Oracle.EvalBatch(patterns, n)
 }
 
 // TestPatternSamplingScalarQueryOrder: a scalar black box sees the same

@@ -169,7 +169,7 @@ func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng *r
 		}
 	}
 
-	got := oracle.AsBatch(o).EvalBatch(lanes, total)[out*lw : (out+1)*lw]
+	got := o.EvalBatch(lanes, total)[out*lw : (out+1)*lw]
 	ones := 0
 	for idx, i := range res.Free {
 		at1, at0 := 2*idx*r, (2*idx+1)*r

@@ -180,7 +180,7 @@ func New(base oracle.Oracle, cfg Config) *Service {
 		queue:    make(chan *Job, cfg.QueueDepth),
 	}
 	if _, ok := base.(oracle.Forker); !ok {
-		s.locked = newLockedOracle(base)
+		s.locked = &lockedOracle{inner: base}
 	}
 	s.mQueries = s.reg.Counter("queries_total")
 	s.mFrames = s.reg.Counter("query_frames_total")
@@ -583,27 +583,16 @@ func (s *Service) MemoStats() oracle.MemoStats {
 	return total
 }
 
-// lockedOracle serializes a non-forkable oracle for shared use, preserving
-// the batch fast path.
+// lockedOracle serializes a non-forkable oracle for shared use.
 type lockedOracle struct {
 	mu    sync.Mutex
-	inner oracle.BatchOracle
-}
-
-func newLockedOracle(o oracle.Oracle) *lockedOracle {
-	return &lockedOracle{inner: oracle.AsBatch(o)}
+	inner oracle.Oracle
 }
 
 func (l *lockedOracle) NumInputs() int        { return l.inner.NumInputs() }
 func (l *lockedOracle) NumOutputs() int       { return l.inner.NumOutputs() }
 func (l *lockedOracle) InputNames() []string  { return l.inner.InputNames() }
 func (l *lockedOracle) OutputNames() []string { return l.inner.OutputNames() }
-
-func (l *lockedOracle) Eval(a []bool) []bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Eval(a)
-}
 
 func (l *lockedOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	l.mu.Lock()

@@ -335,8 +335,8 @@ func TestSessionOracleMemoAndMetrics(t *testing.T) {
 	sess, _ := svc.NewSession("acme")
 	o := sess.Oracle()
 	in := []bool{true, false, true, false, true, false}
-	first := o.Eval(in)
-	second := o.Eval(in)
+	first := oracle.Eval(o, in)
+	second := oracle.Eval(o, in)
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatal("memoized replay diverged")

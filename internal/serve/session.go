@@ -115,20 +115,6 @@ func (o *sessionOracle) NumOutputs() int       { return o.inner.NumOutputs() }
 func (o *sessionOracle) InputNames() []string  { return o.inner.InputNames() }
 func (o *sessionOracle) OutputNames() []string { return o.inner.OutputNames() }
 
-func (o *sessionOracle) Eval(a []bool) []bool {
-	svc := o.sess.svc
-	start := time.Now()
-	o.evalMu.Lock()
-	out := o.inner.Eval(a)
-	o.evalMu.Unlock()
-	svc.hQuery.Observe(time.Since(start))
-	svc.mQueries.Inc()
-	svc.mFrames.Inc()
-	svc.mQPS.Add(1)
-	o.sess.touch()
-	return out
-}
-
 func (o *sessionOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	svc := o.sess.svc
 	start := time.Now()

@@ -95,7 +95,7 @@ func TestThousandConcurrentClients(t *testing.T) {
 				for b := range in {
 					in[b] = (id+q)>>b&1 == 1
 				}
-				cl.Eval(in)
+				oracle.Eval(cl, in)
 			}
 			if id%learnEvery == 0 {
 				jid, err := cl.Learn(int64(id))

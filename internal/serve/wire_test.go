@@ -77,7 +77,7 @@ func TestWireEndToEnd(t *testing.T) {
 	g := box
 	in := []bool{true, true, false, true, false, true}
 	wantOut := g.Eval(in)
-	gotOut := cl.Eval(in)
+	gotOut := oracle.Eval(cl, in)
 	for i := range wantOut {
 		if wantOut[i] != gotOut[i] {
 			t.Fatalf("query through session diverged at output %d", i)

@@ -285,17 +285,20 @@ func (k LearnKey) String() string {
 }
 
 // OptionsSig renders the result-determining fields of core.Options into a
-// stable string for LearnKey.Options. Fields that cannot change the learned
-// circuit (Progress, Cancel, MemoizeQueries, Parallel — all documented
-// byte-identity-preserving) are excluded, so e.g. a cancelled-capable run
-// still hits the cache of a plain one.
+// stable string for LearnKey.Options. Seed is keyed on its own
+// (LearnKey.Seed). Progress, Cancel and MemoizeQueries cannot change the
+// learned circuit and are left out, so e.g. a cancellable run still hits the
+// cache of a plain one. Parallel is keyed as sequential or not: with
+// Parallel > 1 each output draws from its own seeded generator, which
+// changes the circuit, but the worker count does not. TimeLimit is keyed
+// because a learn cut by it returns a different circuit.
 func OptionsSig(o core.Options) string {
 	return fmt.Sprintf(
-		"sr=%d,tr=%d,eps=%g,ex=%d,max=%d,ratios=%v,nopre=%t,noopt=%t,hc=%t,ao=%t,df=%t,xt=%t,rr=%d,rp=%d,tmpl=%+v,opt=%+v",
+		"sr=%d,tr=%d,eps=%g,ex=%d,max=%d,ratios=%v,nopre=%t,noopt=%t,hc=%t,ao=%t,df=%t,xt=%t,rr=%d,rp=%d,tmpl=%+v,opt=%+v,par=%t,tl=%s",
 		o.SupportR, o.TreeR, o.LeafEpsilon, o.ExhaustiveThreshold, o.MaxTreeNodes,
 		o.Ratios, o.DisablePreprocessing, o.DisableOptimization, o.HiddenCompression,
 		o.AlwaysOnset, o.DepthFirstTree, o.ExtendedTemplates, o.RefineRounds,
-		o.RefinePatterns, o.Template, o.Opt)
+		o.RefinePatterns, o.Template, o.Opt, o.Parallel > 1, o.TimeLimit)
 }
 
 // PutCircuit stores a learned circuit under its learn key.

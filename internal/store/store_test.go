@@ -385,7 +385,7 @@ func TestImportTranscript(t *testing.T) {
 	}
 	queried := [][]bool{bits("00"), bits("01"), bits("10"), bits("11")}
 	for _, q := range queried {
-		rec.Eval(q)
+		oracle.Eval(rec, q)
 	}
 
 	mem := vfs.NewMemFS()
@@ -412,8 +412,8 @@ func TestImportTranscript(t *testing.T) {
 	}
 	defer m.SetHook(nil)
 	for _, q := range queried {
-		wantOut := inner.Eval(q)
-		if got := m.Eval(q); !boolsEqual(got, wantOut) {
+		wantOut := oracle.Eval(inner, q)
+		if got := oracle.Eval(m, q); !boolsEqual(got, wantOut) {
 			t.Fatalf("warm answer for %v = %v, want %v", q, got, wantOut)
 		}
 	}

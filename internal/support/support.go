@@ -9,7 +9,7 @@
 // outputs that are only sensitive under skewed input distributions.
 //
 // The dependency counts come from PatternSampling, which issues its 2*r*|I|
-// probe queries through the oracle's batched interface (oracle.BatchOracle):
+// probe queries as lane-packed batches (Oracle.EvalBatch):
 // identification against a remote or cached black box costs a handful of
 // round trips per input instead of one per assignment. Witness blocks its
 // base/toggled probe pairs the same way.
@@ -92,7 +92,6 @@ func Witness(o oracle.Oracle, out, in, tries int, rng *rand.Rand) ([]bool, bool)
 	const chunk = 32 // 2 patterns per try = exactly one lane word
 	ratios := sampling.DefaultRatios
 	n := o.NumInputs()
-	batch := oracle.AsBatch(o)
 	for k := 0; k < tries; k += chunk {
 		cnt := min(tries-k, chunk)
 		// Random draws stay in the per-try reference order; only the
@@ -119,7 +118,7 @@ func Witness(o oracle.Oracle, out, in, tries int, rng *rand.Rand) ([]bool, bool)
 				}
 			}
 		}
-		res := batch.EvalBatch(lanes, 2*cnt)
+		res := o.EvalBatch(lanes, 2*cnt)
 		for t := 0; t < cnt; t++ {
 			word := res[out*w+2*t/64] >> uint(2*t%64)
 			if word&1 != word>>1&1 {

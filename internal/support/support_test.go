@@ -94,9 +94,9 @@ func TestWitnessFindsDependency(t *testing.T) {
 	}
 	// Verify the witness actually flips the output.
 	a[4] = false
-	v0 := o.Eval(a)[0]
+	v0 := oracle.Eval(o, a)[0]
 	a[4] = true
-	v1 := o.Eval(a)[0]
+	v1 := oracle.Eval(o, a)[0]
 	if v0 == v1 {
 		t.Fatal("returned witness does not flip the output")
 	}

@@ -67,7 +67,7 @@ func detectAffine(o oracle.Oracle, skip map[int]bool, cfg Config, rng *rand.Rand
 	probes := make([]probe, 0, samples)
 	for k := 0; k < samples; k++ {
 		a := sampling.RandomAssignment(rng, n, 0.5, nil)
-		probes = append(probes, probe{in: a, out: o.Eval(a)})
+		probes = append(probes, probe{in: a, out: oracle.Eval(o, a)})
 	}
 
 	var matches []AffineMatch
@@ -108,7 +108,7 @@ func verifyAffine(o oracle.Oracle, am AffineMatch, cfg Config, rng *rand.Rand) b
 	n := o.NumInputs()
 	for k := 0; k < cfg.Verify; k++ {
 		a := sampling.RandomAssignment(rng, n, cfg.Ratios[k%len(cfg.Ratios)], nil)
-		if o.Eval(a)[am.Out] != am.Predict(a) {
+		if oracle.Eval(o, a)[am.Out] != am.Predict(a) {
 			return false
 		}
 	}

@@ -142,7 +142,7 @@ func detectBitwise(o oracle.Oracle, inVecs, outVecs []names.Vector, cfg Config, 
 	probes := make([]ioProbe, 0, cfg.Samples)
 	for k := 0; k < cfg.Samples; k++ {
 		a := sampling.RandomAssignment(rng, n, cfg.Ratios[k%len(cfg.Ratios)], nil)
-		probes = append(probes, ioProbe{in: a, out: o.Eval(a)})
+		probes = append(probes, ioProbe{in: a, out: oracle.Eval(o, a)})
 	}
 
 	var matches []BitwiseMatch
@@ -238,7 +238,7 @@ func verifyBitwise(o oracle.Oracle, bm BitwiseMatch, cfg Config, rng *rand.Rand)
 			}
 		}
 		want := bm.Predict(assign)
-		out := o.Eval(assign)
+		out := oracle.Eval(o, assign)
 		var got uint64
 		for i, pos := range bm.OutVec.Ports {
 			if i >= 64 {

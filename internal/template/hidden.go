@@ -3,6 +3,7 @@ package template
 import (
 	"math/rand"
 
+	"logicregression/internal/bitvec"
 	"logicregression/internal/circuit"
 	"logicregression/internal/names"
 	"logicregression/internal/oracle"
@@ -49,7 +50,7 @@ func DetectHidden(o oracle.Oracle, v1, v2 names.Vector, tries int, cfg Config, r
 			x2 := rng.Uint64() & widthMask(v2.Width())
 			v1.Encode(x1, a)
 			v2.Encode(x2, a)
-			samples = append(samples, obs{x1: x1, x2: x2, out: o.Eval(a)})
+			samples = append(samples, obs{x1: x1, x2: x2, out: oracle.Eval(o, a)})
 		}
 		for po := 0; po < o.NumOutputs(); po++ {
 			for op := EQ; op < numPredicates; op++ {
@@ -104,7 +105,7 @@ func verifyHidden(o oracle.Oracle, hm HiddenMatch, cfg Config, rng *rand.Rand) b
 		a := append([]bool(nil), hm.Context...)
 		hm.V1.Encode(x1, a)
 		hm.V2.Encode(x2, a)
-		if o.Eval(a)[hm.Out] != (want != hm.Negated) {
+		if oracle.Eval(o, a)[hm.Out] != (want != hm.Negated) {
 			return false
 		}
 	}
@@ -168,47 +169,34 @@ func (co *Compressed) NumOutputs() int       { return co.inner.NumOutputs() }
 func (co *Compressed) InputNames() []string  { return append([]string(nil), co.inNames...) }
 func (co *Compressed) OutputNames() []string { return co.inner.OutputNames() }
 
-func (co *Compressed) Eval(a []bool) []bool {
-	old := make([]bool, co.inner.NumInputs())
+// EvalBatch translates the compressed lanes into one inner batch of the same
+// n patterns: kept inputs copy their lanes, and every vector port takes the
+// bit of representative pair repT where the delegate lane is 1 and of repF
+// where it is 0.
+func (co *Compressed) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
+	w := oracle.Words(n)
+	lane := func(ls []bitvec.Word, i int) []bitvec.Word { return ls[i*w : (i+1)*w] }
+	old := make([]bitvec.Word, co.inner.NumInputs()*w)
 	for i, oldIdx := range co.keep {
-		old[oldIdx] = a[i]
+		copy(lane(old, oldIdx), lane(patterns, i))
 	}
-	rep := co.repF
-	if a[len(co.keep)] {
-		rep = co.repT
-	}
-	co.cm.V1.Encode(rep[0], old)
-	co.cm.V2.Encode(rep[1], old)
-	return co.inner.Eval(old)
-}
-
-// EvalWords implements the word-parallel interface by translating each
-// compressed word query into an inner word query.
-func (co *Compressed) EvalWords(in []uint64) []uint64 {
-	old := make([]uint64, co.inner.NumInputs())
-	for i, oldIdx := range co.keep {
-		old[oldIdx] = in[i]
-	}
-	del := in[len(co.keep)]
-	// Per vector bit: choose the representative's bit by delegate value.
-	encodeWord := func(v names.Vector, tVal, fVal uint64) {
+	del := lane(patterns, len(co.keep))
+	encode := func(v names.Vector, tVal, fVal uint64) {
 		for b, port := range v.Ports {
 			if b >= 64 {
 				break
 			}
-			var tBit, fBit uint64
-			if tVal>>uint(b)&1 == 1 {
-				tBit = ^uint64(0)
+			tBit := -(bitvec.Word(tVal>>uint(b)) & 1)
+			fBit := -(bitvec.Word(fVal>>uint(b)) & 1)
+			dst := lane(old, port)
+			for k, d := range del {
+				dst[k] = d&tBit | ^d&fBit
 			}
-			if fVal>>uint(b)&1 == 1 {
-				fBit = ^uint64(0)
-			}
-			old[port] = del&tBit | ^del&fBit
 		}
 	}
-	encodeWord(co.cm.V1, co.repT[0], co.repF[0])
-	encodeWord(*co.cm.V2, co.repT[1], co.repF[1])
-	return oracle.EvalWords(co.inner, old)
+	encode(co.cm.V1, co.repT[0], co.repF[0])
+	encode(*co.cm.V2, co.repT[1], co.repF[1])
+	return co.inner.EvalBatch(old, n)
 }
 
 // VarSignal maps a compressed-input index to a signal in a circuit being

@@ -20,7 +20,7 @@ func detectLinear(o oracle.Oracle, inVecs []names.Vector, outVecs []names.Vector
 	}
 	n := o.NumInputs()
 	zeroIn := make([]bool, n)
-	base := o.Eval(zeroIn)
+	base := oracle.Eval(o, zeroIn)
 
 	var matches []LinMatch
 	for _, z := range outVecs {
@@ -35,7 +35,7 @@ func detectLinear(o oracle.Oracle, inVecs []names.Vector, outVecs []names.Vector
 		for _, v := range inVecs {
 			a := make([]bool, n)
 			v.Encode(1, a)
-			got := z.Decode(o.Eval(a)) & mask
+			got := z.Decode(oracle.Eval(o, a)) & mask
 			coeff := (got - b) & mask
 			if coeff != 0 {
 				lm.Terms = append(lm.Terms, LinTerm{Vec: v, A: coeff})
@@ -64,7 +64,7 @@ func verifyLinear(o oracle.Oracle, lm LinMatch, cfg Config, rng *rand.Rand) bool
 	for k := 0; k < cfg.Verify; k++ {
 		a := sampling.RandomAssignment(rng, n, sampling.DefaultRatios[k%len(sampling.DefaultRatios)], nil)
 		want := lm.Predict(a)
-		got := lm.OutVec.Decode(o.Eval(a)) & mask
+		got := lm.OutVec.Decode(oracle.Eval(o, a)) & mask
 		if got != want {
 			return false
 		}

@@ -127,7 +127,7 @@ func collectSamples(o oracle.Oracle, vecs []names.Vector, cfg Config, rng *rand.
 	for base := 0; base < ss.n; base += 64 {
 		batch := min(ss.n-base, 64)
 		words := sampling.RandomWords(rng, nIn, cfg.Ratios[(base/64)%len(cfg.Ratios)], nil)
-		outs := oracle.EvalWords(o, words)
+		outs := o.EvalBatch(words, 64)
 		for s := 0; s < batch; s++ {
 			for vi, v := range vecs {
 				var x uint64
@@ -275,7 +275,7 @@ func verifyPair(o oracle.Oracle, cm CompMatch, cfg Config, rng *rand.Rand) bool 
 		a := sampling.RandomAssignment(rng, n, sampling.DefaultRatios[k%len(sampling.DefaultRatios)], nil)
 		cm.V1.Encode(x1, a)
 		cm.V2.Encode(x2, a)
-		got := o.Eval(a)[cm.Out]
+		got := oracle.Eval(o, a)[cm.Out]
 		if got != (want != cm.Negated) {
 			return false
 		}
@@ -404,7 +404,7 @@ func searchThreshold(o oracle.Oracle, v names.Vector, po int, lo, hi uint64, inc
 	probe := func(x uint64) bool {
 		a := sampling.RandomAssignment(rng, n, 0.5, nil)
 		v.Encode(x, a)
-		return o.Eval(a)[po]
+		return oracle.Eval(o, a)[po]
 	}
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
@@ -437,7 +437,7 @@ func verifyConst(o oracle.Oracle, cm CompMatch, cfg Config, rng *rand.Rand) bool
 		}
 		a := sampling.RandomAssignment(rng, n, sampling.DefaultRatios[k%len(sampling.DefaultRatios)], nil)
 		cm.V1.Encode(x, a)
-		got := o.Eval(a)[cm.Out]
+		got := oracle.Eval(o, a)[cm.Out]
 		if got != (cm.Op.Eval(x, cm.Const) != cm.Negated) {
 			return false
 		}

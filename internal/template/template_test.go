@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"logicregression/internal/bitvec"
 	"logicregression/internal/circuit"
 	"logicregression/internal/names"
 	"logicregression/internal/oracle"
@@ -28,7 +29,7 @@ func checkCompMatchExact(t *testing.T, o oracle.Oracle, cm CompMatch) {
 		for i := 0; i < n; i++ {
 			a[i] = m>>uint(i)&1 == 1
 		}
-		if cm.Predict(a) != o.Eval(a)[cm.Out] {
+		if cm.Predict(a) != oracle.Eval(o, a)[cm.Out] {
 			t.Fatalf("match %v wrong at assignment %0*b", cm, n, m)
 		}
 	}
@@ -49,7 +50,7 @@ func checkSynthExact(t *testing.T, o oracle.Oracle, cm CompMatch) {
 		for i := 0; i < n; i++ {
 			a[i] = m>>uint(i)&1 == 1
 		}
-		if c.Eval(a)[0] != o.Eval(a)[cm.Out] {
+		if c.Eval(a)[0] != oracle.Eval(o, a)[cm.Out] {
 			t.Fatalf("synthesized %v wrong at %0*b", cm, n, m)
 		}
 	}
@@ -224,7 +225,7 @@ func TestLinearSynthesizeMatchesOracle(t *testing.T) {
 		for i := range assign {
 			assign[i] = m>>uint(i)&1 == 1
 		}
-		want := o.Eval(assign)
+		want := oracle.Eval(o, assign)
 		got := cc.Eval(assign)
 		for j := range want {
 			if want[j] != got[j] {
@@ -304,19 +305,55 @@ func TestCompressedOracle(t *testing.T) {
 	// Compressed semantics: z = d XOR delegate.
 	for _, dv := range []bool{false, true} {
 		for _, sv := range []bool{false, true} {
-			got := co.Eval([]bool{dv, sv})[0]
+			got := oracle.Eval(co, []bool{dv, sv})[0]
 			if got != (dv != sv) {
 				t.Fatalf("compressed eval(%v,%v) = %v", dv, sv, got)
 			}
 		}
 	}
-	// Word-parallel path must agree with scalar path.
+	// A 64-pattern batch must agree with one-pattern queries.
 	in := []uint64{0xF0F0F0F0F0F0F0F0, 0xAAAAAAAAAAAAAAAA}
-	words := co.EvalWords(in)
+	words := co.EvalBatch(in, 64)
 	for k := 0; k < 64; k++ {
 		assign := []bool{in[0]>>uint(k)&1 == 1, in[1]>>uint(k)&1 == 1}
-		if co.Eval(assign)[0] != (words[0]>>uint(k)&1 == 1) {
-			t.Fatalf("compressed word/scalar mismatch at pattern %d", k)
+		if oracle.Eval(co, assign)[0] != (words[0]>>uint(k)&1 == 1) {
+			t.Fatalf("compressed batch/single mismatch at pattern %d", k)
+		}
+	}
+}
+
+// TestCompressedChargesExactBatch: a batch through a compressed view reaches
+// the oracle below as one batch of the same n patterns, so a counter there
+// is charged n, not a whole number of 64-pattern words.
+func TestCompressedChargesExactBatch(t *testing.T) {
+	c := circuit.New()
+	a := c.AddPIWord("a", 3)
+	b := c.AddPIWord("b", 3)
+	d := c.AddPI("d")
+	c.AddPO("z", c.Xor(d, c.LtWords(a, b)))
+	counter := oracle.NewCounter(oracle.FromCircuit(c))
+	g := names.Group(counter.InputNames())
+	cm := CompMatch{Out: 0, Op: LT, V1: g.Vectors[0], V2: &g.Vectors[1]}
+	co, ok := NewCompressed(counter, cm, rand.New(rand.NewSource(11)))
+	if !ok {
+		t.Fatal("compression failed")
+	}
+	const n = 100
+	w := oracle.Words(n)
+	rng := rand.New(rand.NewSource(3))
+	lanes := make([]bitvec.Word, co.NumInputs()*w)
+	for i := range lanes {
+		lanes[i] = rng.Uint64()
+	}
+	out := co.EvalBatch(lanes, n)
+	if got := counter.Queries(); got != n {
+		t.Fatalf("counter under the compressed view charged %d queries for a %d-pattern batch, want %d", got, n, n)
+	}
+	// Compressed semantics: z = d XOR delegate, on every live pattern.
+	for k := 0; k < n; k++ {
+		bit := func(ls []bitvec.Word, i int) bool { return ls[i*w+k/64]>>uint(k%64)&1 == 1 }
+		if bit(out, 0) != (bit(lanes, 0) != bit(lanes, 1)) {
+			t.Fatalf("pattern %d: compressed batch answered %v", k, bit(out, 0))
 		}
 	}
 }
@@ -401,7 +438,7 @@ func checkCompMatchViaSampling(t *testing.T, o oracle.Oracle, cm CompMatch, tria
 		for i := range a {
 			a[i] = rng.Intn(2) == 1
 		}
-		if cm.Predict(a) != o.Eval(a)[cm.Out] {
+		if cm.Predict(a) != oracle.Eval(o, a)[cm.Out] {
 			t.Fatalf("match %+v wrong on random point", cm)
 		}
 	}
